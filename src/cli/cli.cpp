@@ -129,7 +129,7 @@ class Args {
            name == "trace-out" || name == "wall-limit" ||
            name == "mem-limit" || name == "faults" || name == "trials" ||
            name == "intensities" || name == "policies" ||
-           name == "engine" || name == "beam-width" ||
+           name == "engine" ||
            name == "state-classes" || name == "processors" ||
            name == "placement" || name == "messages" ||
            name == "sync-budget" || name == "sync-cap" ||
@@ -266,26 +266,10 @@ class Args {
       scheduler.search_engine = sched::SearchEngine::kDfs;
     } else if (*engine == "bestfirst") {
       scheduler.search_engine = sched::SearchEngine::kBestFirst;
-    } else if (*engine == "beam") {
-      scheduler.search_engine = sched::SearchEngine::kBeam;
     } else {
       return make_error(ErrorCode::kInvalidArgument,
-                        "--engine expects dfs|bestfirst|beam");
+                        "--engine expects dfs|bestfirst");
     }
-  }
-  if (auto width = args.value("beam-width")) {
-    auto parsed = parse_uint(*width);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    if (parsed.value() == 0) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--beam-width expects a positive width");
-    }
-    scheduler.beam_width = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (args.has("widen")) {
-    scheduler.widen = true;
   }
   if (auto classes = args.value("state-classes")) {
     if (*classes == "auto") {
@@ -1271,8 +1255,8 @@ std::string usage() {
       "               [--trace FILE] [--optimize makespan|switches]\n"
       "               [--threads N] parallel search (0 = serial engine)\n"
       "               [--deterministic] thread-count-independent outcome\n"
-      "               [--engine dfs|bestfirst|beam] exploration order\n"
-      "               (docs/search.md); [--beam-width K] [--widen]\n"
+      "               [--engine dfs|bestfirst] exploration order\n"
+      "               (docs/search.md)\n"
       "               [--state-classes auto|on|off] class-keyed visited\n"
       "               set + doom pruning (auto: on for exhaustive runs)\n"
       "               [--report FILE] machine-readable run report (JSON)\n"

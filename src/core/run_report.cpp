@@ -93,8 +93,6 @@ void write_options(JsonWriter& w, const sched::SchedulerOptions& opt) {
   // strategy is "search_engine".
   w.member("search_engine",
            std::string_view(sched::to_string(opt.search_engine)));
-  w.member("beam_width", opt.beam_width);
-  w.member("widen", opt.widen);
   w.member("state_classes",
            std::string_view(sched::to_string(opt.state_classes)));
   w.member("state_classes_enabled", sched::state_classes_enabled(opt));
@@ -122,7 +120,6 @@ void write_search_stats(JsonWriter& w, const sched::SearchStats& s,
   w.member("pruned_doomed", s.pruned_doomed);
   w.member("classes_merged", s.classes_merged);
   w.member("heuristic_evals", s.heuristic_evals);
-  w.member("beam_dropped", s.beam_dropped);
   w.member("max_depth", s.max_depth);
   w.member("peak_visited_bytes", s.peak_visited_bytes);
   w.member("elapsed_ms", deterministic ? std::uint64_t{0} : s.elapsed_ms);
@@ -275,7 +272,9 @@ std::string run_report_json(Project& project, const obs::Tracer* tracer,
   // explain`, docs/explain.md), the optional "reachability" section
   // (`ezrt reach --report`), and the byte-deterministic emission mode
   // (wall-clock fields zeroed, stages/telemetry omitted, counters empty).
-  w.member("version", 5);
+  // v6: the beam engine is gone — options lose beam_width/widen, the
+  // search counters lose beam_dropped, search_engine is dfs|bestfirst.
+  w.member("version", 6);
   write_model(w, project);
   write_options(w, project.scheduler_options());
 

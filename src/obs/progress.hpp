@@ -48,6 +48,23 @@ struct ProgressSink {
       (void)depth_now;
     }
   }
+
+  /// Publish for engines whose workers share one sink: the monotone
+  /// counters advance by each worker's delta since its last publish.
+  void advance(std::uint64_t states_now, std::uint64_t transitions_delta,
+               std::uint64_t pruned_delta, std::uint64_t depth_now) noexcept {
+    if constexpr (kTelemetryEnabled) {
+      states.store(states_now, std::memory_order_relaxed);
+      transitions.fetch_add(transitions_delta, std::memory_order_relaxed);
+      pruned.fetch_add(pruned_delta, std::memory_order_relaxed);
+      depth.store(depth_now, std::memory_order_relaxed);
+    } else {
+      (void)states_now;
+      (void)transitions_delta;
+      (void)pruned_delta;
+      (void)depth_now;
+    }
+  }
 };
 
 /// Background heartbeat: every `interval` prints one line of search

@@ -61,16 +61,14 @@ enum class SuccessorEngine : std::uint8_t {
   kReference,    ///< dense O(|T|) rescan per firing (literal Definition 3.1)
 };
 
-/// Which search strategy orders the exploration (docs/search.md). All
-/// strategies walk the same pruned successor graph (sched/expansion.hpp);
-/// they differ only in *which* frontier state is expanded next — so
-/// kFeasible traces may differ between engines, but verdicts may not
-/// (kBeam without widening excepted: a fixed-width beam that drops states
-/// and finds no goal reports kLimitReached, never kInfeasible).
+/// Which search strategy orders the exploration (docs/search.md). Both
+/// strategies walk the same pruned successor graph under the same
+/// admission rule (sched/expansion.hpp); they differ only in *which*
+/// frontier state is expanded next — so kFeasible traces may differ
+/// between engines, but verdicts may not.
 enum class SearchEngine : std::uint8_t {
   kDfs,        ///< depth-first (the paper's algorithm; default)
   kBestFirst,  ///< lowest f = elapsed + remaining-work bound first; complete
-  kBeam,       ///< levelized, keeps the best beam_width states per level
 };
 
 /// Whether the search keys its visited set on discrete state classes
@@ -112,18 +110,11 @@ struct SchedulerOptions {
   bool partial_order_reduction = true;
   Objective objective = Objective::kFirstFeasible;
   SuccessorEngine engine = SuccessorEngine::kIncremental;
-  /// Exploration-order strategy. The guided engines (kBestFirst, kBeam)
-  /// apply to the kFirstFeasible objective and run serially; optimizing
+  /// Exploration-order strategy. The guided engine (kBestFirst) applies
+  /// to the kFirstFeasible objective and runs serially; optimizing
   /// objectives fall back to the branch-and-bound DFS, and `threads` is
-  /// ignored while a guided engine is selected.
+  /// ignored while the guided engine is selected.
   SearchEngine search_engine = SearchEngine::kDfs;
-  /// Frontier width for SearchEngine::kBeam: the states kept per level
-  /// (everything else is dropped and counted in SearchStats::beam_dropped).
-  std::uint32_t beam_width = 8;
-  /// Iterative widening for kBeam: rerun with the width doubled until a
-  /// schedule is found or a pass completes without dropping any state —
-  /// that pass was exhaustive, so its kInfeasible verdict is sound.
-  bool widen = false;
   /// State-class abstraction for the visited set (docs/search.md §3).
   StateClassMode state_classes = StateClassMode::kAuto;
   /// Abort with kLimitReached after this many distinct states (0 = off).
@@ -263,9 +254,6 @@ class DfsScheduler {
   tpn::Semantics semantics_;
   SchedulerOptions options_;
   GoalPredicate goal_;
-  /// Deadline-miss places, collected once so the per-firing undesirable-
-  /// state check touches only them instead of scanning every place.
-  std::vector<PlaceId> miss_places_;
 };
 
 }  // namespace ezrt::sched

@@ -14,6 +14,43 @@ Expander::Expander(const tpn::TimePetriNet& net,
                    const SchedulerOptions& options)
     : net_(&net), semantics_(&semantics), options_(&options) {}
 
+AdmissionRules::AdmissionRules(const tpn::TimePetriNet& net_in,
+                               const tpn::Semantics& semantics_in,
+                               const SchedulerOptions& options_in,
+                               const GoalPredicate& goal_in,
+                               std::chrono::steady_clock::time_point t0_in,
+                               bool heuristic)
+    : net(net_in),
+      semantics(semantics_in),
+      options(options_in),
+      goal(goal_in),
+      classes_on(state_classes_enabled(options_in)),
+      t0(t0_in),
+      guard(options_in, t0_in),
+      guarded(guard.armed()),
+      frame_bytes(estimated_frame_bytes(net_in)) {
+  for (PlaceId p : net.place_ids()) {
+    const tpn::PlaceRole role = net.place(p).role;
+    if (role == tpn::PlaceRole::kMissPending ||
+        role == tpn::PlaceRole::kMissed) {
+      miss_places.push_back(p);
+    }
+  }
+  if (classes_on || heuristic) {
+    classifier.emplace(net);
+  }
+}
+
+Fingerprint AdmissionRules::key(const State& s, bool& capped) const {
+  if (!classes_on) {
+    capped = false;
+    return fingerprint(s);
+  }
+  const auto cd = classifier->canonical_digest(s, semantics);
+  capped = cd.capped;
+  return Fingerprint{cd.digest.a, cd.digest.b};
+}
+
 State Expander::fire(const State& s, const Candidate& c) const {
   // The incremental engine trusts the candidate's precomputed domain (it
   // came out of fireable_into on the same state) and skips the rescan; the

@@ -1,6 +1,6 @@
 // Shared 128-bit state fingerprinting for the search engines.
 //
-// Every engine (serial DFS, guided best-first/beam, reachability, the
+// Every engine (serial DFS, guided best-first, reachability, the
 // parallel workers) keys its visited structure by the state's Zobrist
 // digest instead of the full state: membership costs 16 bytes per state
 // regardless of net size, and the collision probability over two

@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "base/assert.hpp"
-#include "base/hash.hpp"
-#include "obs/progress.hpp"
 #include "sched/expansion.hpp"
 #include "sched/fingerprint.hpp"
-#include "sched/guards.hpp"
-#include "tpn/state_class.hpp"
 
 namespace ezrt::sched {
 
@@ -24,9 +19,6 @@ namespace {
 using tpn::State;
 
 constexpr std::uint32_t kNoParent = 0xffffffffu;
-
-/// Same corridor safety valve as the serial class-keyed loop.
-constexpr std::uint32_t kCorridorCap = 1u << 16;
 
 /// One admitted frontier state. Nodes live in an append-only arena so a
 /// goal's trace can be rebuilt by walking parent links; `events` holds the
@@ -69,371 +61,136 @@ struct EntryWorse {
   }
 };
 
-class GuidedSearcher {
- public:
-  GuidedSearcher(const tpn::TimePetriNet& net, const SchedulerOptions& options,
-                 const GoalPredicate& goal,
-                 const std::vector<PlaceId>& miss_places)
-      : net_(net),
-        options_(options),
-        goal_(goal),
-        miss_places_(miss_places),
-        semantics_(net),
-        expander_(net, semantics_, options),
-        classifier_(net),
-        attribution_(net, options.collect_attribution),
-        classes_on_(state_classes_enabled(options)),
-        t0_(std::chrono::steady_clock::now()),
-        guard_(options, t0_),
-        guarded_(guard_.armed()),
-        frame_bytes_(estimated_frame_bytes(net)) {}
+/// The best-first frontier: the node arena over a hash set of keys.
+struct ArenaFrontier {
+  const std::vector<Node>* nodes;
+  std::uint64_t frame_bytes;
+  std::uint32_t expanding_depth = 0;  ///< depth of the node being expanded
+  std::unordered_set<Fingerprint, FingerprintHash> visited;
 
-  SearchOutcome run() {
-    if (options_.search_engine == SearchEngine::kBestFirst) {
-      run_best_first();
-    } else {
-      run_beam();
-    }
-    finalize();
-    return std::move(out_);
+  [[nodiscard]] bool contains(const Fingerprint& key) const {
+    return visited.contains(key);
   }
-
- private:
-  SearchStats& stats() { return out_.stats; }
-
-  [[nodiscard]] bool has_miss(const tpn::Marking& m) const {
-    for (PlaceId p : miss_places_) {
-      if (m[p] > 0) {
-        return true;
-      }
-    }
-    return false;
+  std::uint64_t insert(const Fingerprint& key) {
+    return visited.insert(key).second ? visited.size() : 0;
   }
-
+  [[nodiscard]] std::uint64_t visited_bytes() const {
+    return node_container_bytes(visited, sizeof(Fingerprint));
+  }
   [[nodiscard]] std::uint64_t memory_bytes() const {
-    return node_container_bytes(visited_, sizeof(Fingerprint)) +
-           nodes_.size() * frame_bytes_;
+    return visited_bytes() + nodes->size() * frame_bytes;
   }
-
-  [[nodiscard]] std::pair<Fingerprint, bool> key_of(const State& s) const {
-    if (!classes_on_) {
-      return {fingerprint(s), false};
-    }
-    const auto cd = classifier_.canonical_digest(s, semantics_);
-    return {Fingerprint{cd.digest.a, cd.digest.b}, cd.capped};
-  }
-
-  /// Rebuilds the root-to-goal trace: ancestor edges via parent links,
-  /// then the in-flight edge that reached the goal.
-  void set_goal_trace(std::uint32_t parent,
-                      const std::vector<FiringEvent>& edge) {
-    std::vector<std::uint32_t> chain;
-    for (std::uint32_t i = parent; i != kNoParent; i = nodes_[i].parent) {
-      chain.push_back(i);
-    }
-    out_.trace.clear();
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const Node& n = nodes_[*it];
-      out_.trace.insert(out_.trace.end(), n.events.begin(), n.events.end());
-    }
-    out_.trace.insert(out_.trace.end(), edge.begin(), edge.end());
-  }
-
-  void publish_progress(std::uint64_t depth_hint) {
-    obs::ProgressSink* const progress = options_.progress;
-    if (progress != nullptr &&
-        (stats().states_visited & obs::ProgressSink::kPublishMask) == 0) {
-      progress->publish(stats().states_visited, stats().transitions_fired,
-                        stats().pruned_deadline + stats().pruned_visited,
-                        depth_hint);
-    }
-  }
-
-  /// Admits the root; returns false when s0 is already the goal (or trips
-  /// a guard) and the outcome is final.
-  bool admit_root() {
-    State s0 = State::initial(net_);
-    if (goal_(std::as_const(s0).marking())) {
-      out_.status = SearchStatus::kFeasible;
-      out_.trace.clear();
-      return false;
-    }
-    visited_.insert(key_of(s0).first);
-    ++stats().states_visited;
-    Node root;
-    root.state = std::move(s0);
-    expander_.expand(root.state, root.candidates);
-    const auto eval = classifier_.evaluate(root.state, semantics_, scratch_);
-    ++stats().heuristic_evals;
-    root_entry_ = Entry{std::as_const(root.state).elapsed() +
-                            eval.remaining_work,
-                        eval.remaining_work, eval.min_slack, 0};
-    nodes_.push_back(std::move(root));
-    return true;
-  }
-
-  /// Fires `cand` from `parent`, chases the forced corridor when classes
-  /// are on, and admits the resulting decision state. Returns its frontier
-  /// entry, or nullopt when the successor was pruned. A set `terminal_`
-  /// means the whole search is over (goal, budget, or guard).
-  std::optional<Entry> admit(std::uint32_t parent, Candidate cand) {
-    State next = expander_.fire(nodes_[parent].state, cand);
-    ++stats().transitions_fired;
-
-    std::vector<FiringEvent> edge;
-    std::vector<Candidate> cands;
-    Fingerprint fp;
-    bool capped = false;
-    tpn::StateClassifier::Eval eval;
-    for (;;) {
-      edge.push_back(FiringEvent{cand.fireable.transition, cand.delay,
-                                 std::as_const(next).elapsed()});
-      if (guarded_) {
-        if (auto tripped = guard_.check(stats().transitions_fired,
-                                        [&] { return memory_bytes(); })) {
-          terminal_ = *tripped;
-          return std::nullopt;
-        }
-      }
-      if (has_miss(std::as_const(next).marking())) {
-        ++stats().pruned_deadline;
-        attribution_.record_deadline(std::as_const(next).marking());
-        return std::nullopt;
-      }
-      if (goal_(std::as_const(next).marking())) {
-        set_goal_trace(parent, edge);
-        terminal_ = SearchStatus::kFeasible;
-        return std::nullopt;
-      }
-      eval = classifier_.evaluate(next, semantics_, scratch_);
-      ++stats().heuristic_evals;
-      if (classes_on_ && eval.doomed) {
-        ++stats().pruned_doomed;
-        attribution_.record_doomed(eval.doomed_watchdog,
-                                   std::as_const(next).marking());
-        return std::nullopt;
-      }
-      const auto [canon_fp, canon_capped] = key_of(next);
-      fp = canon_fp;
-      capped = canon_capped;
-      expander_.expand(next, cands);
-      if (!classes_on_ || cands.size() != 1 ||
-          edge.size() > kCorridorCap) {
-        break;  // decision state (or the corridor safety valve)
-      }
-      if (visited_.contains(fp)) {
-        ++stats().pruned_visited;
-        return std::nullopt;
-      }
-      cand = cands[0];
-      next = expander_.fire(next, cand);
-      ++stats().transitions_fired;
-    }
-
-    if (!visited_.insert(fp).second) {
-      ++stats().pruned_visited;
-      return std::nullopt;
-    }
-    ++stats().states_visited;
-    if (capped) {
-      ++stats().classes_merged;
-    }
-
-    Node node;
-    node.state = std::move(next);
-    node.candidates = std::move(cands);
-    node.events = std::move(edge);
-    node.parent = parent;
-    node.depth = nodes_[parent].depth +
-                 static_cast<std::uint32_t>(node.events.size());
-    stats().max_depth = std::max<std::uint64_t>(stats().max_depth, node.depth);
-    publish_progress(node.depth);
-
-    if (options_.max_states != 0 &&
-        stats().states_visited >= options_.max_states) {
-      terminal_ = SearchStatus::kLimitReached;
-      return std::nullopt;
-    }
-
-    const Entry entry{std::as_const(node.state).elapsed() +
-                          eval.remaining_work,
-                      eval.remaining_work, eval.min_slack,
-                      static_cast<std::uint32_t>(nodes_.size())};
-    nodes_.push_back(std::move(node));
-    return entry;
-  }
-
-  void run_best_first() {
-    if (!admit_root()) {
-      return;
-    }
-    std::priority_queue<Entry, std::vector<Entry>, EntryWorse> open;
-    open.push(root_entry_);
-    while (!open.empty()) {
-      const Entry top = open.top();
-      open.pop();
-      const std::uint32_t idx = top.node;
-      const std::size_t fan = nodes_[idx].candidates.size();
-      for (std::size_t i = 0; i < fan; ++i) {
-        // Copy: admit() appends to nodes_, invalidating references.
-        const Candidate cand = nodes_[idx].candidates[i];
-        if (auto entry = admit(idx, cand)) {
-          open.push(*entry);
-        } else if (terminal_.has_value()) {
-          out_.status = *terminal_;
-          return;
-        }
-      }
-      // Expanded nodes keep their state (trace reconstruction only needs
-      // events, but a vector arena cannot free per-element); release the
-      // candidate buffer at least.
-      nodes_[idx].candidates = {};
-    }
-    // Frontier exhausted with an admissible, non-pruning order: every
-    // reachable class was expanded, so infeasibility is proven.
-    out_.status = SearchStatus::kInfeasible;
-    out_.trace.clear();
-  }
-
-  /// One fixed-width beam pass over a fresh arena/visited set. Returns
-  /// true when the pass produced a final outcome (goal, budget or guard);
-  /// false when it ran to completion without a goal, with `dropped`
-  /// telling whether the width limit discarded any state.
-  bool beam_pass(std::uint32_t width, bool& dropped) {
-    nodes_.clear();
-    visited_.clear();
-    dropped = false;
-    if (!admit_root()) {
-      return true;
-    }
-    std::vector<std::uint32_t> level{0};
-    std::vector<Entry> scored;
-    while (!level.empty()) {
-      scored.clear();
-      for (const std::uint32_t idx : level) {
-        const std::size_t fan = nodes_[idx].candidates.size();
-        for (std::size_t i = 0; i < fan; ++i) {
-          const Candidate cand = nodes_[idx].candidates[i];
-          if (auto entry = admit(idx, cand)) {
-            scored.push_back(*entry);
-          } else if (terminal_.has_value()) {
-            out_.status = *terminal_;
-            return true;
-          }
-        }
-        nodes_[idx].candidates = {};
-      }
-      std::sort(scored.begin(), scored.end(), [](const Entry& a,
-                                                 const Entry& b) {
-        return EntryWorse{}(b, a);  // best (lowest key) first
-      });
-      if (scored.size() > width) {
-        stats().beam_dropped += scored.size() - width;
-        dropped = true;
-        scored.resize(width);
-      }
-      level.clear();
-      for (const Entry& e : scored) {
-        level.push_back(e.node);
-      }
-    }
-    return false;
-  }
-
-  void run_beam() {
-    std::uint32_t width = std::max<std::uint32_t>(1, options_.beam_width);
-    for (;;) {
-      bool dropped = false;
-      if (beam_pass(width, dropped)) {
-        return;  // out_.status already set (goal, budget or guard)
-      }
-      // Record this pass's visited footprint before a widening rerun
-      // clears the table — peak_visited_bytes must cover the whole run.
-      pass_peak_bytes_ = std::max(
-          pass_peak_bytes_, node_container_bytes(visited_,
-                                                 sizeof(Fingerprint)));
-      if (!dropped) {
-        // The width never bound, so the pass explored every reachable
-        // class: a sound exhaustive verdict even without widening.
-        out_.status = SearchStatus::kInfeasible;
-        out_.trace.clear();
-        return;
-      }
-      if (!options_.widen) {
-        // Inconclusive: states were dropped and no goal appeared. Never
-        // report kInfeasible from an incomplete exploration.
-        out_.status = SearchStatus::kLimitReached;
-        out_.trace.clear();
-        return;
-      }
-      width = width > (1u << 30) ? 0xffffffffu : width * 2;
-    }
-  }
-
-  void finalize() {
-    out_.attribution = attribution_.take();
-    SearchStats& s = stats();
-    s.pruned_priority = expander_.counters().pruned_priority;
-    s.peak_visited_bytes = std::max(
-        pass_peak_bytes_, node_container_bytes(visited_,
-                                               sizeof(Fingerprint)));
-    s.elapsed_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0_)
-                       .count();
-    if (options_.progress != nullptr) {
-      options_.progress->publish(s.states_visited, s.transitions_fired,
-                                 s.pruned_deadline + s.pruned_visited,
-                                 s.max_depth);
-    }
-    if (options_.collect_telemetry) {
-      out_.telemetry.collected = true;
-      out_.telemetry.reduction_singletons =
-          expander_.counters().reduction_singletons;
-      WorkerTelemetry worker;
-      worker.worker = 0;
-      worker.expansions = expander_.counters().expansions;
-      worker.reduction_singletons =
-          expander_.counters().reduction_singletons;
-      worker.stats = s;
-      out_.telemetry.workers = {worker};
-    }
-  }
-
-  const tpn::TimePetriNet& net_;
-  const SchedulerOptions& options_;
-  const GoalPredicate& goal_;
-  const std::vector<PlaceId>& miss_places_;
-  tpn::Semantics semantics_;
-  Expander expander_;
-  tpn::StateClassifier classifier_;
-  tpn::StateClassifier::Scratch scratch_;
-  AttributionRecorder attribution_;
-  const bool classes_on_;
-  const std::chrono::steady_clock::time_point t0_;
-  const ResourceGuard guard_;
-  const bool guarded_;
-  const std::uint64_t frame_bytes_;
-
-  SearchOutcome out_;
-  std::vector<Node> nodes_;
-  std::unordered_set<Fingerprint, FingerprintHash> visited_;
-  Entry root_entry_;
-  std::optional<SearchStatus> terminal_;
-  std::uint64_t pass_peak_bytes_ = 0;
+  [[nodiscard]] std::uint64_t depth() const { return expanding_depth; }
 };
+
+/// Rebuilds the root-to-goal trace: ancestor edges via parent links, then
+/// the in-flight edge that reached the goal.
+Trace goal_trace(const std::vector<Node>& nodes, std::uint32_t parent,
+                 const Trace& edge) {
+  std::vector<std::uint32_t> chain;
+  for (std::uint32_t i = parent; i != kNoParent; i = nodes[i].parent) {
+    chain.push_back(i);
+  }
+  Trace trace;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const Node& n = nodes[*it];
+    trace.insert(trace.end(), n.events.begin(), n.events.end());
+  }
+  trace.insert(trace.end(), edge.begin(), edge.end());
+  return trace;
+}
+
+SearchOutcome best_first(const AdmissionRules& rules) {
+  std::vector<Node> nodes;
+  Admitter<ArenaFrontier> admitter(
+      rules, ArenaFrontier{&nodes, rules.frame_bytes, 0, {}});
+  SearchStats& stats = admitter.stats();
+  SearchOutcome out;
+
+  auto done = [&](SearchStatus status) {
+    out.status = status;
+    stats.heuristic_evals = admitter.evaluations();
+    admitter.finish(out);
+    return out;
+  };
+  // With classes on the admission already evaluated the decision state.
+  auto entry_of = [&](const State& s, std::uint32_t node) {
+    const tpn::StateClassifier::Eval eval =
+        rules.classes_on ? admitter.eval() : admitter.evaluate(s);
+    return Entry{s.elapsed() + eval.remaining_work, eval.remaining_work,
+                 eval.min_slack, node};
+  };
+
+  Node root;
+  root.state = State::initial(rules.net);
+  if (admitter.admit_root(root.state, root.candidates) == Admission::kGoal) {
+    return done(SearchStatus::kFeasible);
+  }
+  const tpn::StateClassifier::Eval root_eval = admitter.evaluate(root.state);
+  std::priority_queue<Entry, std::vector<Entry>, EntryWorse> open;
+  open.push(Entry{root.state.elapsed() + root_eval.remaining_work,
+                  root_eval.remaining_work, root_eval.min_slack, 0});
+  nodes.push_back(std::move(root));
+
+  while (!open.empty()) {
+    const std::uint32_t idx = open.top().node;
+    open.pop();
+    admitter.frontier().expanding_depth = nodes[idx].depth;
+    const std::size_t fan = nodes[idx].candidates.size();
+    for (std::size_t i = 0; i < fan; ++i) {
+      // Copy: admission appends to nodes, invalidating references.
+      const Candidate cand = nodes[idx].candidates[i];
+      Node node;
+      switch (admitter.admit(nodes[idx].state, cand, node.events, node.state,
+                             node.candidates)) {
+        case Admission::kAdmitted: {
+          node.parent = idx;
+          node.depth = nodes[idx].depth +
+                       static_cast<std::uint32_t>(node.events.size());
+          stats.max_depth = std::max<std::uint64_t>(stats.max_depth,
+                                                    node.depth);
+          const auto id = static_cast<std::uint32_t>(nodes.size());
+          open.push(entry_of(node.state, id));
+          nodes.push_back(std::move(node));
+          break;
+        }
+        case Admission::kPruned:
+          break;
+        case Admission::kGoal:
+          out.trace = goal_trace(nodes, idx, node.events);
+          return done(SearchStatus::kFeasible);
+        case Admission::kStop:
+          if (admitter.stop_status() == SearchStatus::kLimitReached) {
+            stats.max_depth = std::max<std::uint64_t>(
+                stats.max_depth, nodes[idx].depth + node.events.size());
+          }
+          return done(admitter.stop_status());
+      }
+    }
+    // Expanded nodes keep their state (trace reconstruction only needs
+    // events, but a vector arena cannot free per-element); release the
+    // candidate buffer at least.
+    nodes[idx].candidates = {};
+  }
+  // Frontier exhausted with an admissible, non-pruning order: every
+  // reachable class was expanded, so infeasibility is proven.
+  return done(SearchStatus::kInfeasible);
+}
 
 }  // namespace
 
 SearchOutcome guided_search(const tpn::TimePetriNet& net,
                             const SchedulerOptions& options,
-                            const GoalPredicate& goal,
-                            const std::vector<PlaceId>& miss_places) {
-  EZRT_CHECK(options.search_engine != SearchEngine::kDfs,
-             "guided_search requires a guided engine");
+                            const GoalPredicate& goal) {
+  EZRT_CHECK(options.search_engine == SearchEngine::kBestFirst,
+             "guided_search requires the best-first engine");
   EZRT_CHECK(options.objective == Objective::kFirstFeasible,
-             "guided engines cover the first-feasible objective only");
-  GuidedSearcher searcher(net, options, goal, miss_places);
-  return searcher.run();
+             "the guided engine covers the first-feasible objective only");
+  const tpn::Semantics semantics(net);
+  const AdmissionRules rules(net, semantics, options, goal,
+                             std::chrono::steady_clock::now(),
+                             /*heuristic=*/true);
+  return best_first(rules);
 }
 
 }  // namespace ezrt::sched

@@ -1,43 +1,30 @@
-// Guided search engines: best-first and beam (docs/search.md).
+// Guided best-first search (docs/search.md).
 //
-// Both engines consume the exact pruned successor graph the DFS walks
-// (sched/expansion.hpp) and differ only in which frontier state expands
-// next:
+// The engine consumes the exact pruned successor graph and admission rule
+// the DFS uses (sched/expansion.hpp) and differs only in which frontier
+// state expands next: the frontier is ordered by f = elapsed + h, where h
+// is the admissible remaining-work lower bound from tpn::StateClassifier
+// (the largest per-processor outstanding computation demand). Ties break
+// toward the tightest deadline slack, then insertion order, so the
+// exploration is deterministic. Admissible h never prunes — it only
+// reorders — so best-first is complete: an exhausted frontier is a sound
+// kInfeasible verdict, and the paper's differential contract (same verdict
+// as the DFS oracle) holds.
 //
-//   * kBestFirst orders the frontier by f = elapsed + h, where h is the
-//     admissible remaining-work lower bound from tpn::StateClassifier
-//     (the largest per-processor outstanding computation demand). Ties
-//     break toward the tightest deadline slack, then insertion order, so
-//     the exploration is deterministic. Admissible h never prunes — it
-//     only reorders — so best-first is complete: an exhausted frontier is
-//     a sound kInfeasible verdict, and the paper's differential contract
-//     (same verdict as the DFS oracle) holds.
-//
-//   * kBeam expands level by level, keeping only the beam_width best
-//     states per level. A pass that dropped states and found no goal is
-//     inconclusive (kLimitReached — never kInfeasible); with
-//     SchedulerOptions::widen the width doubles until a schedule appears
-//     or a pass completes without dropping anything, which makes that
-//     pass exhaustive and its kInfeasible sound.
-//
-// With state classes enabled (sched::state_classes_enabled) both engines
-// also key their visited sets on canonical class digests, cut doomed
-// branches, and contract forced corridors, like the serial DFS.
+// With state classes enabled (sched::state_classes_enabled) the admission
+// also keys the visited set on canonical class digests, cuts doomed
+// branches, and contracts forced corridors, exactly as for the DFS.
 #pragma once
-
-#include <vector>
 
 #include "sched/dfs.hpp"
 
 namespace ezrt::sched {
 
-/// Runs the engine selected by options.search_engine (kBestFirst or
-/// kBeam). Preconditions (checked): a guided engine is selected and
-/// options.objective == kFirstFeasible. Always serial; options.threads is
-/// ignored. `miss_places` is the precollected undesirable-place set,
-/// shared with the serial engine.
-[[nodiscard]] SearchOutcome guided_search(
-    const tpn::TimePetriNet& net, const SchedulerOptions& options,
-    const GoalPredicate& goal, const std::vector<PlaceId>& miss_places);
+/// Runs the best-first engine. Preconditions (checked): options selects
+/// SearchEngine::kBestFirst and options.objective == kFirstFeasible.
+/// Always serial; options.threads is ignored.
+[[nodiscard]] SearchOutcome guided_search(const tpn::TimePetriNet& net,
+                                          const SchedulerOptions& options,
+                                          const GoalPredicate& goal);
 
 }  // namespace ezrt::sched

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,12 +14,9 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "sched/expansion.hpp"
-#include "sched/guards.hpp"
 #include "sched/visited_set.hpp"
 #include "sched/work_stealing.hpp"
-#include "tpn/analysis.hpp"
 #include "tpn/semantics.hpp"
-#include "tpn/state_class.hpp"
 
 namespace ezrt::sched {
 
@@ -36,6 +31,9 @@ using tpn::State;
 struct WorkItem {
   State state;
   Trace prefix;
+  /// The state's expansion, computed at admission. The root item (the one
+  /// with an empty prefix) is expanded by the worker that takes it.
+  std::vector<Candidate> candidates;
 };
 
 struct Frame {
@@ -50,10 +48,6 @@ struct Frame {
   std::uint32_t events = 0;  ///< local_path events this frame contributed
 };
 
-/// Forced-corridor step ceiling per admitted state (same safety valve as
-/// the serial class-keyed loop in dfs.cpp).
-constexpr std::uint32_t kCorridorCap = 1u << 16;
-
 /// Everything the workers share. Work moves through per-worker Chase-Lev
 /// deques with steal-half (sched/work_stealing.hpp) and the visited set is
 /// the lock-free CAS table (sched/visited_set.hpp) — the termination
@@ -63,24 +57,16 @@ constexpr std::uint32_t kCorridorCap = 1u << 16;
 class ParallelSearch {
  public:
   ParallelSearch(const tpn::TimePetriNet& net,
-                 const SchedulerOptions& options, const GoalPredicate& goal,
-                 const std::vector<PlaceId>& miss_places)
-      : net_(&net),
-        options_(&options),
-        goal_(&goal),
-        miss_places_(&miss_places),
-        semantics_(net),
-        classifier_(net),
-        classes_on_(state_classes_enabled(options)),
+                 const SchedulerOptions& options, const GoalPredicate& goal)
+      : semantics_(net),
+        rules_(net, semantics_, options, goal,
+               std::chrono::steady_clock::now()),
         thread_count_(std::max<std::uint32_t>(1, options.threads)),
         visited_(std::max<std::size_t>(16, std::size_t{thread_count_} * 4),
                  thread_count_),
         progress_(options.progress),
         pool_(thread_count_,
-              [this](std::uint32_t idle_now) { publish_idle(idle_now); }),
-        guard_(options, std::chrono::steady_clock::now()),
-        guarded_(guard_.armed()),
-        frame_bytes_(estimated_frame_bytes(net)) {}
+              [this](std::uint32_t idle_now) { publish_idle(idle_now); }) {}
 
   SearchOutcome run();
 
@@ -120,106 +106,83 @@ class ParallelSearch {
 
   // -- Per-worker search ---------------------------------------------------
 
-  struct Worker {
+  /// A worker's view of the shared frontier: the lock-free visited set,
+  /// the global admission counter, and its own frame stack for the memory
+  /// estimate.
+  struct SharedFrontier {
     ParallelSearch* search;
+    const Worker* worker;
+
+    [[nodiscard]] bool contains(const Fingerprint& key) const {
+      return search->visited_.contains(tpn::StateDigest{key.a, key.b});
+    }
+    std::uint64_t insert(const Fingerprint& key) {
+      if (!search->visited_.insert(tpn::StateDigest{key.a, key.b},
+                                   worker->index)) {
+        return 0;
+      }
+      return search->states_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    /// The frame-stack term extrapolates this worker's stack across the
+    /// pool — an estimate; the visited set (the dominant term) is exact.
+    [[nodiscard]] std::uint64_t memory_bytes() const {
+      return search->visited_.memory_bytes() +
+             worker->stack.size() * search->rules_.frame_bytes *
+                 search->thread_count_;
+    }
+    [[nodiscard]] std::uint64_t depth() const {
+      return worker->prefix_events + worker->local_path.size();
+    }
+  };
+
+  struct Worker {
     std::uint32_t index;  ///< pool tid and visited-set epoch slot
-    Expander expander;
-    SearchStats stats;
-    /// Per-worker blame recorder, merged after the join exactly like
-    /// `stats` (plain integers, never read concurrently).
-    AttributionRecorder attribution;
-    tpn::StateClassifier::Scratch scratch;  ///< evaluate() buffers
+    /// Expansion, admission, stats and blame counters of this worker,
+    /// merged after the join (plain integers, never read concurrently).
+    Admitter<SharedFrontier> admitter;
     /// Edge events of the admission in flight (one event, or a whole
     /// contracted corridor). Reused across admit() calls.
-    std::vector<FiringEvent> admit_events;
+    Trace admit_events;
     std::vector<Frame> stack;
     /// Events entering frames 1..n of `stack` (the seed frame has none):
     /// local_path.size() == stack.size() - 1 whenever the stack is live.
     Trace local_path;
-    std::vector<std::vector<Candidate>> pool;
-    // Observability counters (docs/observability.md). Plain integers on
-    // purpose: folded into WorkerTelemetry when the worker retires, never
-    // read concurrently. Steal/idle counts live in the pool's per-worker
-    // stats and are folded from there.
+    std::size_t prefix_events = 0;  ///< current item's prefix length
+    CandidatePool buffers;
+    /// Items shared via the own deque (docs/observability.md). Steal/idle
+    /// counts live in the pool's per-worker stats and are folded from
+    /// there.
     std::uint64_t donations = 0;
-    /// High-water marks of what this worker already fetch_add-ed into the
-    /// shared progress sink, so each publish pushes only the delta.
-    std::uint64_t published_transitions = 0;
-    std::uint64_t published_pruned = 0;
 
     Worker(ParallelSearch* s, std::uint32_t tid)
-        : search(s),
-          index(tid),
-          expander(*s->net_, s->semantics_, *s->options_),
-          attribution(*s->net_, s->options_->collect_attribution) {}
-
-    std::vector<Candidate> pooled_vector() {
-      if (pool.empty()) {
-        return {};
-      }
-      std::vector<Candidate> v = std::move(pool.back());
-      pool.pop_back();
-      return v;
-    }
-    void retire(std::vector<Candidate>&& v) { pool.push_back(std::move(v)); }
+        : index(tid), admitter(s->rules_, SharedFrontier{s, this}) {}
+    /// The admitter's frontier points back at this worker.
+    Worker(const Worker&) = delete;
+    Worker& operator=(const Worker&) = delete;
   };
 
   // -- Progress publishing -------------------------------------------------
   //
   // Write-only relaxed stores into the shared ProgressSink; nothing here is
   // ever read back by the search, so the verdict and counters stay
-  // bit-identical with or without a sink (docs/semantics.md §8).
+  // bit-identical with or without a sink (docs/semantics.md §8). The
+  // admitted-state counters are published by each worker's Admitter.
 
   void publish_idle(std::uint32_t idle_now) noexcept {
     if constexpr (obs::kTelemetryEnabled) {
       if (progress_ != nullptr) {
         progress_->idle_workers.store(idle_now, std::memory_order_relaxed);
+        progress_->queue.store(pool_.pending(), std::memory_order_relaxed);
       }
     } else {
       (void)idle_now;
     }
   }
 
-  /// Called on every (kPublishMask + 1)-th globally admitted state. Global
-  /// monotone counters (fired, pruned) are accumulated as per-worker
-  /// deltas; gauges (depth, queue) are plain last-writer-wins stores.
-  void publish_progress(Worker& w, std::uint64_t states_now,
-                        std::uint64_t depth_now) noexcept {
-    if constexpr (obs::kTelemetryEnabled) {
-      obs::ProgressSink& sink = *progress_;
-      sink.states.store(states_now, std::memory_order_relaxed);
-      const std::uint64_t fired = w.stats.transitions_fired;
-      const std::uint64_t pruned =
-          w.stats.pruned_deadline + w.stats.pruned_visited;
-      sink.transitions.fetch_add(fired - w.published_transitions,
-                                 std::memory_order_relaxed);
-      sink.pruned.fetch_add(pruned - w.published_pruned,
-                            std::memory_order_relaxed);
-      w.published_transitions = fired;
-      w.published_pruned = pruned;
-      sink.depth.store(depth_now, std::memory_order_relaxed);
-      sink.queue.store(pool_.pending(), std::memory_order_relaxed);
-    } else {
-      (void)w;
-      (void)states_now;
-      (void)depth_now;
-    }
-  }
-
-  [[nodiscard]] bool has_miss(const tpn::Marking& m) const {
-    for (PlaceId p : *miss_places_) {
-      if (m[p] > 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Declares the goal found: the winning trace is the item prefix, the
   /// worker's local path up to the parent frame, and the in-flight edge.
   void declare_goal(Worker& w, const WorkItem& item,
-                    std::size_t parent_path_len,
-                    const std::vector<FiringEvent>& edge) {
+                    std::size_t parent_path_len) {
     std::lock_guard<std::mutex> lock(result_mu_);
     if (!found_) {
       found_ = true;
@@ -227,148 +190,39 @@ class ParallelSearch {
       winning_.insert(winning_.end(), w.local_path.begin(),
                       w.local_path.begin() +
                           static_cast<std::ptrdiff_t>(parent_path_len));
-      winning_.insert(winning_.end(), edge.begin(), edge.end());
+      winning_.insert(winning_.end(), w.admit_events.begin(),
+                      w.admit_events.end());
     }
     finish();
   }
 
-  /// Fires one candidate and runs it through the admission pipeline
-  /// (deadline-miss pruning, concurrent visited set, global state budget,
-  /// goal test). Returns the admitted child state, or std::nullopt when
-  /// the child was pruned *or* the search just ended (goal/limit — the
-  /// caller distinguishes via stopped()). `parent_path_len` is the
-  /// worker-local path length to `parent` (Frame::path_base); the edge's
-  /// events are appended to `w.admit_events` (cleared first). With state
-  /// classes on, the edge is the whole contracted corridor, `cands_out`
-  /// receives the admitted decision state's expansion, and the visited
-  /// key is the canonical class digest.
-  std::optional<State> admit(Worker& w, const State& parent, Candidate cand,
-                             const WorkItem& item,
-                             std::size_t parent_path_len,
-                             std::vector<Candidate>& cands_out) {
+  /// Fires one candidate of `frame` through the shared admission rule.
+  /// Returns true when a child was admitted into `next` / `cands` (its
+  /// edge in `w.admit_events`); false when it was pruned *or* the search
+  /// just ended (goal, budget or guard — the caller checks stopped()).
+  bool admit(Worker& w, const Frame& frame, const Candidate& cand,
+             const WorkItem& item, State& next,
+             std::vector<Candidate>& cands) {
     w.admit_events.clear();
-    auto guard_memory = [&] {
-      return visited_.memory_bytes() +
-             w.stack.size() * frame_bytes_ * thread_count_;
-    };
-    if (classes_on_) {
-      // Corridor chase (docs/search.md §3), mirroring the serial
-      // class-keyed loop: walk single-candidate successors inline until a
-      // decision state, a dead end, or a prune. Interior states are
-      // contains-checked but never inserted, so only decision states are
-      // admitted and counted. The contains() check is a racy snapshot —
-      // at worst two workers chase the same corridor and the insert()
-      // below still admits it exactly once.
-      State next = w.expander.fire(parent, cand);
-      ++w.stats.transitions_fired;
-      tpn::StateDigest key{};
-      bool capped = false;
-      for (;;) {
-        w.admit_events.push_back(FiringEvent{cand.fireable.transition,
-                                             cand.delay,
-                                             std::as_const(next).elapsed()});
-        if (guarded_) {
-          if (auto tripped =
-                  guard_.check(w.stats.transitions_fired, guard_memory)) {
-            trip_guard(*tripped);
-            return std::nullopt;
-          }
+    switch (w.admitter.admit(frame.state, cand, w.admit_events, next,
+                             cands)) {
+      case Admission::kAdmitted:
+        return true;
+      case Admission::kPruned:
+        return false;
+      case Admission::kGoal:
+        declare_goal(w, item, frame.path_base);
+        return false;
+      case Admission::kStop:
+        if (w.admitter.stop_status() == SearchStatus::kLimitReached) {
+          limit_hit_.store(true, std::memory_order_relaxed);
+          finish();
+        } else {
+          trip_guard(w.admitter.stop_status());
         }
-        if (has_miss(std::as_const(next).marking())) {
-          ++w.stats.pruned_deadline;
-          w.attribution.record_deadline(std::as_const(next).marking());
-          return std::nullopt;
-        }
-        if ((*goal_)(std::as_const(next).marking())) {
-          declare_goal(w, item, parent_path_len, w.admit_events);
-          return std::nullopt;
-        }
-        if (const auto eval = classifier_.evaluate(next, semantics_,
-                                                   w.scratch);
-            eval.doomed) {
-          ++w.stats.pruned_doomed;
-          w.attribution.record_doomed(eval.doomed_watchdog,
-                                      std::as_const(next).marking());
-          return std::nullopt;
-        }
-        const auto cd = classifier_.canonical_digest(next, semantics_);
-        key = cd.digest;
-        capped = cd.capped;
-        w.expander.expand(next, cands_out);
-        if (cands_out.size() != 1 ||
-            w.admit_events.size() > kCorridorCap) {
-          break;  // decision state (or the corridor safety valve)
-        }
-        if (visited_.contains(key)) {
-          ++w.stats.pruned_visited;
-          return std::nullopt;
-        }
-        cand = cands_out[0];
-        next = w.expander.fire(next, cand);
-        ++w.stats.transitions_fired;
-      }
-      if (!visited_.insert(key, w.index)) {
-        ++w.stats.pruned_visited;
-        return std::nullopt;
-      }
-      if (capped) {
-        ++w.stats.classes_merged;
-      }
-      const std::uint64_t n =
-          states_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (progress_ != nullptr &&
-          (n & obs::ProgressSink::kPublishMask) == 0) {
-        publish_progress(w, n, item.prefix.size() + parent_path_len +
-                                   w.admit_events.size());
-      }
-      if (options_->max_states != 0 && n >= options_->max_states) {
-        limit_hit_.store(true, std::memory_order_relaxed);
-        finish();
-        return std::nullopt;
-      }
-      return next;
+        return false;
     }
-
-    State next = w.expander.fire(parent, cand);
-    ++w.stats.transitions_fired;
-    if (guarded_) {
-      // Per-worker fired count drives the mask, so the wall clock keeps
-      // getting sampled through all-pruned stretches. The frame-stack
-      // term extrapolates this worker's stack across the pool — an
-      // estimate; the visited set (the dominant term) is exact.
-      if (auto tripped =
-              guard_.check(w.stats.transitions_fired, guard_memory)) {
-        trip_guard(*tripped);
-        return std::nullopt;
-      }
-    }
-    if (has_miss(std::as_const(next).marking())) {
-      ++w.stats.pruned_deadline;
-      w.attribution.record_deadline(std::as_const(next).marking());
-      return std::nullopt;
-    }
-    if (!visited_.insert(next.digest(), w.index)) {
-      ++w.stats.pruned_visited;
-      return std::nullopt;
-    }
-    const std::uint64_t n =
-        states_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (progress_ != nullptr &&
-        (n & obs::ProgressSink::kPublishMask) == 0) {
-      publish_progress(w, n, item.prefix.size() + parent_path_len + 1);
-    }
-    w.admit_events.push_back(FiringEvent{cand.fireable.transition,
-                                         cand.delay, next.elapsed()});
-    if ((*goal_)(std::as_const(next).marking())) {
-      declare_goal(w, item, parent_path_len, w.admit_events);
-      return std::nullopt;
-    }
-    if (options_->max_states != 0 && n >= options_->max_states) {
-      limit_hit_.store(true, std::memory_order_relaxed);
-      finish();
-      return std::nullopt;
-    }
-    return next;
+    return false;
   }
 
   /// Donates pending candidates from the *shallowest* unexhausted frame
@@ -393,18 +247,15 @@ class ParallelSearch {
       while (frame.next + (top ? 1 : 0) < frame.candidates.size() &&
              pool_.pending() < hunger) {
         const Candidate cand = frame.candidates[frame.next++];
-        std::vector<Candidate> donated_cands = w.pooled_vector();
-        auto child = admit(w, frame.state, cand, item, frame.path_base,
-                           donated_cands);
-        w.retire(std::move(donated_cands));  // the stealer re-expands
-        if (!child.has_value()) {
+        WorkItem shared;
+        shared.candidates = w.buffers.take();
+        if (!admit(w, frame, cand, item, shared.state, shared.candidates)) {
+          w.buffers.give(std::move(shared.candidates));
           if (stopped()) {
             return;
           }
           continue;
         }
-        WorkItem shared;
-        shared.state = std::move(*child);
         shared.prefix = item.prefix;
         shared.prefix.insert(shared.prefix.end(), w.local_path.begin(),
                              w.local_path.begin() +
@@ -424,11 +275,14 @@ class ParallelSearch {
   void run_subtree(Worker& w, WorkItem item) {
     w.stack.clear();
     w.local_path.clear();
+    w.prefix_events = item.prefix.size();
 
     Frame root;
     root.state = std::move(item.state);
-    root.candidates = w.pooled_vector();
-    w.expander.expand(root.state, root.candidates);
+    root.candidates = std::move(item.candidates);
+    if (item.prefix.empty()) {
+      w.admitter.expander().expand(root.state, root.candidates);
+    }
     w.stack.push_back(std::move(root));
 
     while (!w.stack.empty()) {
@@ -440,53 +294,40 @@ class ParallelSearch {
         return;
       }
       Frame& frame = w.stack.back();
-      w.stats.max_depth = std::max<std::uint64_t>(
-          w.stats.max_depth,
-          item.prefix.size() + w.local_path.size() + 1);
+      SearchStats& stats = w.admitter.stats();
+      stats.max_depth = std::max<std::uint64_t>(
+          stats.max_depth, item.prefix.size() + w.local_path.size() + 1);
       if (frame.next >= frame.candidates.size()) {
-        const std::uint32_t events = frame.events;
-        w.retire(std::move(frame.candidates));
+        w.local_path.resize(w.local_path.size() - frame.events);
+        w.buffers.give(std::move(frame.candidates));
         w.stack.pop_back();
-        for (std::uint32_t i = 0; i < events; ++i) {
-          w.local_path.pop_back();
-        }
-        ++w.stats.backtracks;
+        ++stats.backtracks;
         continue;
       }
       const Candidate cand = frame.candidates[frame.next++];
-      std::vector<Candidate> child_cands = w.pooled_vector();
-      auto child = admit(w, frame.state, cand, item, frame.path_base,
-                         child_cands);
-      if (!child.has_value()) {
-        w.retire(std::move(child_cands));
+      Frame child;
+      child.candidates = w.buffers.take();
+      if (!admit(w, frame, cand, item, child.state, child.candidates)) {
+        w.buffers.give(std::move(child.candidates));
         continue;  // pruned, or the search ended (checked at loop head)
       }
       w.local_path.insert(w.local_path.end(), w.admit_events.begin(),
                           w.admit_events.end());
-      Frame next_frame;
-      next_frame.state = std::move(*child);
-      next_frame.candidates = std::move(child_cands);
-      if (!classes_on_) {
-        // The classes path already expanded the decision state during the
-        // corridor chase; the plain path expands here, as before.
-        w.expander.expand(next_frame.state, next_frame.candidates);
-      }
-      next_frame.path_base = w.local_path.size();
-      next_frame.events =
-          static_cast<std::uint32_t>(w.admit_events.size());
-      w.stack.push_back(std::move(next_frame));
+      child.path_base = w.local_path.size();
+      child.events = static_cast<std::uint32_t>(w.admit_events.size());
+      w.stack.push_back(std::move(child));
     }
   }
 
   void worker_main(std::uint32_t index, WorkerTelemetry& out,
                    AttributionCounters& attribution_out) {
     Worker w(this, index);
-    obs::Span span(options_->tracer, "search-worker", "sched");
+    obs::Span span(rules_.options.tracer, "search-worker", "sched");
     span.set_args("{\"worker\":" + std::to_string(index) + "}");
     // Bounded park only when a guard is armed, so a parked worker still
     // notices a SIGINT or an expired wall limit even when no peer ever
     // wakes it; unguarded searches park indefinitely.
-    const auto poll = std::chrono::milliseconds(guarded_ ? 20 : 0);
+    const auto poll = std::chrono::milliseconds(rules_.guarded ? 20 : 0);
     using Pool = WorkStealingPool<WorkItem*>;
     try {
       for (;;) {
@@ -496,7 +337,7 @@ class ParallelSearch {
           break;
         }
         if (r == Pool::Acquire::kTimeout) {
-          if (auto tripped = guard_.check_now(
+          if (auto tripped = rules_.guard.check_now(
                   [&] { return visited_.memory_bytes(); })) {
             trip_guard(*tripped);
           }
@@ -514,25 +355,16 @@ class ParallelSearch {
       }
       finish();
     }
-    out.worker = index;
-    out.expansions = w.expander.counters().expansions;
+    out = w.admitter.telemetry(index);
     out.donations = w.donations;
     out.steals = pool_.stats(index).steals;
     out.idle_transitions = pool_.stats(index).idle_transitions;
-    out.reduction_singletons = w.expander.counters().reduction_singletons;
-    w.stats.pruned_priority = w.expander.counters().pruned_priority;
-    out.stats = w.stats;
-    attribution_out = w.attribution.take();
+    attribution_out = w.admitter.take_attribution();
   }
 
-  const tpn::TimePetriNet* net_;
-  const SchedulerOptions* options_;
-  const GoalPredicate* goal_;
-  const std::vector<PlaceId>* miss_places_;
   tpn::Semantics semantics_;
   /// Shared read-only after construction; evaluate() scratch is per-worker.
-  tpn::StateClassifier classifier_;
-  bool classes_on_;
+  AdmissionRules rules_;
   std::uint32_t thread_count_;
   CasVisitedSet visited_;
   obs::ProgressSink* progress_;
@@ -543,9 +375,6 @@ class ParallelSearch {
   std::atomic<std::uint64_t> states_{0};
   /// First resource-guard verdict (as SearchStatus), 0 = none tripped.
   std::atomic<std::uint8_t> guard_status_{0};
-  ResourceGuard guard_;
-  bool guarded_;
-  std::uint64_t frame_bytes_;
 
   std::mutex result_mu_;
   bool found_ = false;
@@ -557,14 +386,14 @@ SearchOutcome ParallelSearch::run() {
   const auto t0 = std::chrono::steady_clock::now();
   SearchOutcome out;
 
-  State s0 = State::initial(*net_);
-  visited_.insert(classes_on_
-                      ? classifier_.canonical_digest(s0, semantics_).digest
-                      : s0.digest(),
-                  0);
+  // The root always counts; the worker that takes it expands it.
+  State s0 = State::initial(rules_.net);
+  bool capped = false;
+  const Fingerprint root_key = rules_.key(s0, capped);
+  visited_.insert(tpn::StateDigest{root_key.a, root_key.b}, 0);
   states_.store(1, std::memory_order_relaxed);
 
-  if ((*goal_)(std::as_const(s0).marking())) {
+  if (rules_.goal_reached(s0)) {
     out.status = SearchStatus::kFeasible;
     out.stats.states_visited = 1;
     out.stats.peak_visited_bytes = visited_.memory_bytes();
@@ -576,7 +405,7 @@ SearchOutcome ParallelSearch::run() {
 
   // Seed worker 0's deque before the spawns; the thread-creation edge
   // makes the owner-side push visible to everyone.
-  push_work(0, WorkItem{std::move(s0), Trace{}});
+  push_work(0, WorkItem{std::move(s0), Trace{}, {}});
 
   std::vector<WorkerTelemetry> per_worker(thread_count_);
   std::vector<AttributionCounters> per_attribution(thread_count_);
@@ -624,7 +453,7 @@ SearchOutcome ParallelSearch::run() {
 
   // End-of-search collection only: by here every worker has joined, so the
   // breakdowns are exact and gathering them cannot perturb the search.
-  if (options_->collect_telemetry) {
+  if (rules_.options.collect_telemetry) {
     out.telemetry.collected = true;
     for (const WorkerTelemetry& wt : per_worker) {
       out.telemetry.reduction_singletons += wt.reduction_singletons;
@@ -670,14 +499,13 @@ SearchOutcome ParallelSearch::run() {
 
 SearchOutcome parallel_search(const tpn::TimePetriNet& net,
                               const SchedulerOptions& options,
-                              const GoalPredicate& goal,
-                              const std::vector<PlaceId>& miss_places) {
+                              const GoalPredicate& goal) {
   EZRT_CHECK(options.threads >= 1,
              "parallel_search requires options.threads >= 1");
   EZRT_CHECK(options.objective == Objective::kFirstFeasible,
              "parallel_search supports the kFirstFeasible objective only");
 
-  SearchOutcome out = ParallelSearch(net, options, goal, miss_places).run();
+  SearchOutcome out = ParallelSearch(net, options, goal).run();
 
   if (options.deterministic && (out.status == SearchStatus::kFeasible ||
                                 out.status == SearchStatus::kLimitReached)) {

@@ -42,13 +42,10 @@ struct SearchStats {
   /// the concrete state (a release clock was capped) — the states the
   /// class abstraction can merge with siblings.
   std::uint64_t classes_merged = 0;
-  /// StateClassifier::evaluate calls by the guided engines (one per
-  /// admitted frontier state; docs/search.md §2).
+  /// StateClassifier::evaluate calls by the best-first engine (each
+  /// corridor step with classes on, each admitted state with classes off;
+  /// docs/search.md §2).
   std::uint64_t heuristic_evals = 0;
-  /// Frontier states discarded by the beam width limit. Nonzero means the
-  /// exploration was incomplete: a goalless beam pass reports
-  /// kLimitReached unless this stayed zero.
-  std::uint64_t beam_dropped = 0;
   /// Estimated high-water heap footprint of the visited structure, in
   /// bytes. The structures only grow, so the end-of-search size is the
   /// peak; deterministic for a given exploration (table geometry depends

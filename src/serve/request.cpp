@@ -48,11 +48,9 @@ Status parse_options(const JsonValue& options, ServeRequest& out) {
         out.engine = sched::SearchEngine::kDfs;
       } else if (value.is_string() && value.string == "bestfirst") {
         out.engine = sched::SearchEngine::kBestFirst;
-      } else if (value.is_string() && value.string == "beam") {
-        out.engine = sched::SearchEngine::kBeam;
       } else {
         return make_error(ErrorCode::kInvalidArgument,
-                          "option 'engine' expects dfs|bestfirst|beam");
+                          "option 'engine' expects dfs|bestfirst");
       }
     } else if (name == "state_classes") {
       if (value.is_string() && value.string == "auto") {
@@ -73,18 +71,6 @@ Status parse_options(const JsonValue& options, ServeRequest& out) {
       auto v = require_uint(value, "threads");
       if (!v.ok()) return v.error();
       out.threads = static_cast<std::uint32_t>(v.value());
-    } else if (name == "beam_width") {
-      auto v = require_uint(value, "beam_width");
-      if (!v.ok()) return v.error();
-      if (v.value() == 0) {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'beam_width' expects a positive width");
-      }
-      out.beam_width = static_cast<std::uint32_t>(v.value());
-    } else if (name == "widen") {
-      auto v = require_bool(value, "widen");
-      if (!v.ok()) return v.error();
-      out.widen = v.value();
     } else if (name == "paper_blocks") {
       auto v = require_bool(value, "paper_blocks");
       if (!v.ok()) return v.error();
@@ -176,8 +162,6 @@ std::vector<std::uint64_t> option_fingerprint(const ServeRequest& r) {
       static_cast<std::uint64_t>(r.state_classes),
       r.max_states,
       r.threads,
-      r.beam_width,
-      r.widen ? 1u : 0u,
       r.paper_blocks ? 1u : 0u,
       r.has_sync_budget ? 1u : 0u,
       r.sync_budget,
@@ -210,8 +194,6 @@ Result<PreparedRequest> prepare_request(const ServeRequest& r) {
   s.state_classes = r.state_classes;
   s.max_states = r.max_states;
   s.threads = r.threads;
-  s.beam_width = r.beam_width;
-  s.widen = r.widen;
   // Thread-count verdict determinism is non-negotiable for a cache keyed
   // on (spec, options): without it, which of kFeasible/kLimitReached wins
   // a bounded parallel race would be frozen into the cache.

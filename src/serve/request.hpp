@@ -39,8 +39,6 @@ struct ServeRequest {
   sched::StateClassMode state_classes = sched::StateClassMode::kAuto;
   std::uint64_t max_states = sched::SchedulerOptions{}.max_states;
   std::uint32_t threads = 0;
-  std::uint32_t beam_width = 8;
-  bool widen = false;
   bool paper_blocks = false;
   bool has_sync_budget = false;
   std::uint32_t sync_budget = 0;

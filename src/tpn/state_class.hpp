@@ -169,7 +169,7 @@ class StateClassifier {
     /// computation demand (active instances plus unarrived budget).
     Time remaining_work = 0;
     /// Tightest slack among active instances (kTimeInfinity when idle);
-    /// the guided engines break f-ties toward urgency with this.
+    /// the best-first engine breaks f-ties toward urgency with this.
     Time min_slack = kTimeInfinity;
   };
 

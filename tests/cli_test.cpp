@@ -277,11 +277,11 @@ TEST_F(CliTest, ScheduleWritesRunReport) {
   EXPECT_NE(json.find("\"search\""), std::string::npos);
 }
 
-TEST_F(CliTest, RunReportIsVersion5WithSearchEngineFields) {
-  const std::string report = (dir_ / "v5.json").string();
+TEST_F(CliTest, RunReportIsVersion6WithSearchEngineFields) {
+  const std::string report = (dir_ / "v6.json").string();
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--report", report}), 0);
   const std::string json = read_file(report);
-  EXPECT_NE(json.find("\"version\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"version\":6"), std::string::npos);
   // v4: per-processor / bus / sync breakdown is always present.
   EXPECT_NE(json.find("\"processors\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"bus\":{"), std::string::npos);
@@ -293,7 +293,9 @@ TEST_F(CliTest, RunReportIsVersion5WithSearchEngineFields) {
   EXPECT_NE(json.find("\"state_classes_enabled\":false"),
             std::string::npos);
   EXPECT_NE(json.find("\"heuristic_evals\""), std::string::npos);
-  EXPECT_NE(json.find("\"beam_dropped\""), std::string::npos);
+  // v6: the beam engine's options and counter are gone.
+  EXPECT_EQ(json.find("beam"), std::string::npos);
+  EXPECT_EQ(json.find("\"widen\""), std::string::npos);
   EXPECT_NE(json.find("\"classes_merged\""), std::string::npos);
   EXPECT_NE(json.find("\"pruned_doomed\""), std::string::npos);
 }
@@ -311,20 +313,9 @@ TEST_F(CliTest, GuidedEngineFlagsSchedule) {
   EXPECT_NE(json.find("\"feasible\":true"), std::string::npos);
 }
 
-TEST_F(CliTest, BeamEngineFlagsSchedule) {
-  EXPECT_EQ(run_cli({"schedule", spec_path_, "--engine=beam",
-                     "--beam-width", "8", "--widen",
-                     "--state-classes=on"}),
-            0);
-  EXPECT_NE(out_.str().find("feasible schedule"), std::string::npos);
-}
-
 TEST_F(CliTest, EngineFlagRejectsUnknownValue) {
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--engine", "astar"}), 4);
-}
-
-TEST_F(CliTest, BeamWidthRejectsZero) {
-  EXPECT_EQ(run_cli({"schedule", spec_path_, "--beam-width", "0"}), 4);
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--engine", "beam"}), 4);
 }
 
 TEST_F(CliTest, ScheduleWritesReportOnInfeasibleModels) {

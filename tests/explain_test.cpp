@@ -1,7 +1,7 @@
 // Verdict provenance (docs/explain.md): the `ezrt explain` golden
 // renderings on the two example-class models, the cross-engine and
 // cross-thread attribution determinism contract, the analytic
-// short-circuit, and byte-determinism of the schema-v5 report.
+// short-circuit, and byte-determinism of the schema-v6 report.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -146,7 +146,7 @@ TEST_F(ExplainTest, ReportIsByteDeterministicAcrossReruns) {
   const std::string a = slurp(r1);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(r2));
-  EXPECT_NE(a.find("\"version\":5"), std::string::npos);
+  EXPECT_NE(a.find("\"version\":6"), std::string::npos);
   EXPECT_NE(a.find("\"sync_budget_culprit\":true"), std::string::npos);
 }
 
@@ -248,7 +248,7 @@ TEST_F(ExplainTest, DeadlineExpiringInsideProbesDegradesHonestly) {
 
 // CLI-level: a tiny --wall-limit must terminate `ezrt explain` with a
 // documented code (2 when the primary verdict landed before the deadline,
-// 3 when a guard tripped first) and the report file must stay a valid v5
+// 3 when a guard tripped first) and the report file must stay a valid v6
 // document either way — never a hang, never a truncated report.
 TEST_F(ExplainTest, WallLimitBoundsExplainEndToEnd) {
   const std::string report = (dir_ / "limited.json").string();
@@ -257,7 +257,7 @@ TEST_F(ExplainTest, WallLimitBoundsExplainEndToEnd) {
                             report});
   EXPECT_TRUE(code == 2 || code == 3) << code;
   const std::string body = slurp(report);
-  EXPECT_NE(body.find("\"version\":5"), std::string::npos);
+  EXPECT_NE(body.find("\"version\":6"), std::string::npos);
   EXPECT_NE(body.find("\"explanation\":"), std::string::npos);
   EXPECT_NE(out_.str().find("verdict:"), std::string::npos) << out_.str();
 }

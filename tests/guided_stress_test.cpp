@@ -1,4 +1,4 @@
-// Differential stress sweep for the guided engines and state classes
+// Differential stress sweep for the guided engine and state classes
 // (docs/search.md). Runs under the ctest "stress" label only.
 //
 // Every configuration below must agree with the serial concrete-state DFS
@@ -6,10 +6,7 @@
 // differ between engines (docs/search.md §1), and with class merging the
 // visited count of a parallel run is interleaving-dependent, so neither is
 // asserted here; every feasible trace must survive replay, the validator
-// and the dispatcher simulator. Fixed-width beam is the one deliberate
-// exception: it may report kLimitReached instead of either verdict (it is
-// incomplete by design), but it must never claim kInfeasible after
-// dropping states, and any schedule it does return must be valid.
+// and the dispatcher simulator.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,44 +44,30 @@ constexpr std::uint64_t kSweepModels = 64;
 struct Variant {
   const char* name;
   sched::SearchEngine engine = sched::SearchEngine::kDfs;
-  std::uint32_t beam_width = 8;
-  bool widen = false;
   sched::StateClassMode classes = sched::StateClassMode::kAuto;
   std::uint32_t threads = 0;
-  /// Fixed-width beam only: kLimitReached is an acceptable answer.
-  bool incomplete = false;
 };
 
 constexpr Variant kVariants[] = {
-    {"dfs/classes-on/serial", sched::SearchEngine::kDfs, 8, false,
-     sched::StateClassMode::kOn, 0, false},
-    {"dfs/classes-on/2t", sched::SearchEngine::kDfs, 8, false,
-     sched::StateClassMode::kOn, 2, false},
-    {"dfs/classes-on/4t", sched::SearchEngine::kDfs, 8, false,
-     sched::StateClassMode::kOn, 4, false},
-    {"bestfirst/classes-off", sched::SearchEngine::kBestFirst, 8, false,
-     sched::StateClassMode::kOff, 0, false},
-    {"bestfirst/classes-on", sched::SearchEngine::kBestFirst, 8, false,
-     sched::StateClassMode::kOn, 0, false},
-    // --threads must not reroute a guided engine into the parallel DFS.
-    {"bestfirst/classes-on/4t", sched::SearchEngine::kBestFirst, 8, false,
-     sched::StateClassMode::kOn, 4, false},
-    {"beam-4/classes-on", sched::SearchEngine::kBeam, 4, false,
-     sched::StateClassMode::kOn, 0, true},
-    {"beam-16/classes-on", sched::SearchEngine::kBeam, 16, false,
-     sched::StateClassMode::kOn, 0, true},
-    {"beam-4/widen/classes-on", sched::SearchEngine::kBeam, 4, true,
-     sched::StateClassMode::kOn, 0, false},
-    {"beam-4/widen/classes-off", sched::SearchEngine::kBeam, 4, true,
-     sched::StateClassMode::kOff, 0, false},
+    {"dfs/classes-on/serial", sched::SearchEngine::kDfs,
+     sched::StateClassMode::kOn, 0},
+    {"dfs/classes-on/2t", sched::SearchEngine::kDfs,
+     sched::StateClassMode::kOn, 2},
+    {"dfs/classes-on/4t", sched::SearchEngine::kDfs,
+     sched::StateClassMode::kOn, 4},
+    {"bestfirst/classes-off", sched::SearchEngine::kBestFirst,
+     sched::StateClassMode::kOff, 0},
+    {"bestfirst/classes-on", sched::SearchEngine::kBestFirst,
+     sched::StateClassMode::kOn, 0},
+    // --threads must not reroute the guided engine into the parallel DFS.
+    {"bestfirst/classes-on/4t", sched::SearchEngine::kBestFirst,
+     sched::StateClassMode::kOn, 4},
 };
 
 [[nodiscard]] sched::SchedulerOptions variant_options(const Variant& v) {
   sched::SchedulerOptions options;
   options.max_states = 400'000;
   options.search_engine = v.engine;
-  options.beam_width = v.beam_width;
-  options.widen = v.widen;
   options.state_classes = v.classes;
   options.threads = v.threads;
   return options;
@@ -143,11 +126,6 @@ TEST(GuidedDifferential, SweepAgreesWithConcreteSerialOracle) {
         // produced it; the *trace* is allowed to differ from the oracle's.
         ASSERT_EQ(reference.status, sched::SearchStatus::kFeasible);
         expect_trace_valid(s.value(), model.value(), oracle, out.trace);
-      } else if (v.incomplete &&
-                 out.status == sched::SearchStatus::kLimitReached) {
-        // A fixed-width beam that dropped states may fail to answer; that
-        // is the sound outcome, kInfeasible would not be.
-        EXPECT_GT(out.stats.beam_dropped, 0u);
       } else {
         ASSERT_EQ(out.status, reference.status);
       }

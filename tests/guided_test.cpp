@@ -1,4 +1,4 @@
-// Tests for the guided search engines and the state-class abstraction
+// Tests for the guided search engine and the state-class abstraction
 // (docs/search.md).
 //
 // Layers:
@@ -11,9 +11,7 @@
 //     visiting at most 10% of the concrete state count once classes are
 //     on, while the kOff run still counts every concrete state;
 //   * engine parity — best-first exhausts the same class graph as DFS
-//     (identical verdict and distinct-state count), and fixed-width beam
-//     reports kLimitReached rather than a unsound kInfeasible, with
-//     --widen restoring the exhaustive verdict;
+//     (identical verdict and distinct-state count);
 //   * guidance quality — on the paper's mine-pump model best-first with
 //     classes finds a feasible schedule visiting a fraction of the DFS
 //     state count, and every guided trace survives replay, the validator
@@ -163,36 +161,6 @@ TEST(GuidedSearch, BestFirstExhaustsTheSameClassGraphAsDfs) {
   EXPECT_GT(out.stats.heuristic_evals, 0u);
 }
 
-TEST(GuidedSearch, FixedBeamReportsLimitNotInfeasible) {
-  const spec::Specification s = exhaustive_infeasible_spec();
-  auto model = builder::build_tpn(s);
-  ASSERT_TRUE(model.ok());
-
-  sched::SchedulerOptions options = exhaustive_options();
-  options.search_engine = sched::SearchEngine::kBeam;
-  options.beam_width = 4;
-  const sched::DfsScheduler beam(model.value().net, options);
-  const sched::SearchOutcome out = beam.search();
-  // A width-4 pass necessarily drops states on this workload; claiming
-  // kInfeasible after dropping would be unsound.
-  EXPECT_EQ(out.status, sched::SearchStatus::kLimitReached);
-  EXPECT_GT(out.stats.beam_dropped, 0u);
-}
-
-TEST(GuidedSearch, WideningBeamRecoversTheExhaustiveVerdict) {
-  const spec::Specification s = exhaustive_infeasible_spec();
-  auto model = builder::build_tpn(s);
-  ASSERT_TRUE(model.ok());
-
-  sched::SchedulerOptions options = exhaustive_options();
-  options.search_engine = sched::SearchEngine::kBeam;
-  options.beam_width = 4;
-  options.widen = true;
-  const sched::DfsScheduler beam(model.value().net, options);
-  const sched::SearchOutcome out = beam.search();
-  EXPECT_EQ(out.status, sched::SearchStatus::kInfeasible);
-}
-
 // -- Guidance quality on feasible models -------------------------------------
 
 TEST(GuidedSearch, BestFirstWithClassesBeatsDfsOnMinePump) {
@@ -214,24 +182,6 @@ TEST(GuidedSearch, BestFirstWithClassesBeatsDfsOnMinePump) {
   EXPECT_LT(out.stats.states_visited, reference.stats.states_visited)
       << "guided search must beat DFS on the paper's case study";
   expect_trace_valid(s, model.value(), dfs, out.trace);
-}
-
-TEST(GuidedSearch, BeamFindsAValidMinePumpSchedule) {
-  const spec::Specification s = workload::mine_pump_specification();
-  auto model = builder::build_tpn(s);
-  ASSERT_TRUE(model.ok());
-
-  sched::SchedulerOptions options;
-  options.search_engine = sched::SearchEngine::kBeam;
-  options.beam_width = 8;
-  options.state_classes = sched::StateClassMode::kOn;
-  const sched::DfsScheduler beam(model.value().net, options);
-  const sched::SearchOutcome out = beam.search();
-  ASSERT_EQ(out.status, sched::SearchStatus::kFeasible);
-
-  const sched::DfsScheduler oracle(model.value().net,
-                                   sched::SchedulerOptions{});
-  expect_trace_valid(s, model.value(), oracle, out.trace);
 }
 
 TEST(GuidedSearch, BestFirstSchedulesGeneratedWorkloads) {

@@ -180,10 +180,6 @@ TEST(MultiProc, UavVerdictAgreesAcrossEnginesAndThreads) {
        sched::StateClassMode::kOff, 0},
       {"bestfirst/on", sched::SearchEngine::kBestFirst,
        sched::StateClassMode::kOn, 0},
-      {"beam/off", sched::SearchEngine::kBeam,
-       sched::StateClassMode::kOff, 0},
-      {"beam/on", sched::SearchEngine::kBeam,
-       sched::StateClassMode::kOn, 0},
   };
   for (const Variant& v : kVariants) {
     SCOPED_TRACE(v.name);
@@ -191,7 +187,6 @@ TEST(MultiProc, UavVerdictAgreesAcrossEnginesAndThreads) {
     options.search_engine = v.engine;
     options.state_classes = v.classes;
     options.threads = v.threads;
-    options.widen = true;  // keep fixed-width beam sound
     const sched::DfsScheduler scheduler(model.value().net, options);
     const sched::SearchOutcome out = scheduler.search();
     ASSERT_EQ(out.status, reference.status);

@@ -315,12 +315,13 @@ TEST(ParallelTelemetry, DeterministicRunReportsBothPhases) {
 
 // -------------------------------------------------------- visited set --
 
-TEST(ShardedVisitedSetStats, OccupancyAndFootprintAreExact) {
-  sched::ShardedVisitedSet set(4);
+TEST(CasVisitedSetStats, OccupancyAndFootprintAreExact) {
+  sched::CasVisitedSet set(4, 1);
   constexpr std::uint64_t kKeys = 1000;
   for (std::uint64_t i = 1; i <= kKeys; ++i) {
     EXPECT_TRUE(set.insert(tpn::StateDigest{i * 0x9E3779B97F4A7C15ull,
-                                            i * 0xC2B2AE3D27D4EB4Full}));
+                                            i * 0xC2B2AE3D27D4EB4Full},
+                           0));
   }
   EXPECT_EQ(set.size(), kKeys);
   const std::vector<sched::ShardTelemetry> stats = set.shard_stats();

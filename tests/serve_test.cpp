@@ -109,16 +109,14 @@ TEST(Digest, CanonicalizationCollapsesFormattingOnly) {
 TEST(Digest, EveryOptionKnobMovesTheFingerprint) {
   const ServeRequest base;
   const auto baseline = option_fingerprint(base);
-  std::vector<ServeRequest> variants(9, base);
+  std::vector<ServeRequest> variants(7, base);
   variants[0].complete = true;
   variants[1].optimize = "makespan";
   variants[2].engine = sched::SearchEngine::kBestFirst;
   variants[3].state_classes = sched::StateClassMode::kOff;
   variants[4].max_states = base.max_states + 1;
   variants[5].threads = 2;
-  variants[6].beam_width = 9;
-  variants[7].widen = true;
-  variants[8].has_sync_budget = true;
+  variants[6].has_sync_budget = true;
   for (const ServeRequest& variant : variants) {
     EXPECT_NE(option_fingerprint(variant), baseline);
   }
@@ -261,6 +259,10 @@ TEST(Request, RejectsUnknownOptionsAndBadShapes) {
   must_fail(R"({"version":2,"op":"ping"})");
   must_fail(R"({"op":"schedule","spec":"x","options":{"max_staets":1}})");
   must_fail(R"({"op":"schedule","spec":"x","options":{"engine":"warp"}})");
+  // The beam engine and its knobs are gone from the envelope.
+  must_fail(R"({"op":"schedule","spec":"x","options":{"engine":"beam"}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"beam_width":8}})");
+  must_fail(R"({"op":"schedule","spec":"x","options":{"widen":true}})");
   must_fail(
       R"({"op":"schedule","spec":"x","options":{"max_states":-1}})");
 }
@@ -675,8 +677,7 @@ TEST(DeadlineGuard, AbsoluteDeadlineTerminatesEveryEngine) {
   spec::Specification spec = workload::uav_autopilot_specification();
   spec.set_sync_budget(1);
   for (const sched::SearchEngine engine :
-       {sched::SearchEngine::kDfs, sched::SearchEngine::kBestFirst,
-        sched::SearchEngine::kBeam}) {
+       {sched::SearchEngine::kDfs, sched::SearchEngine::kBestFirst}) {
     sched::SchedulerOptions scheduler;
     scheduler.pruning = sched::PruningMode::kNone;
     scheduler.search_engine = engine;

@@ -56,6 +56,10 @@ def load_results():
                            "(tools/bench_compare.py)", "benchmarks": {}}
 
 
+# Milliseconds per google-benchmark time unit (the "time_unit" field).
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+
 def record(results, label, report):
     for row in report.get("benchmarks", []):
         if row.get("run_type") == "aggregate":
@@ -63,8 +67,8 @@ def record(results, label, report):
         name = row["name"]
         entry = results["benchmarks"].setdefault(name, {})
         entry[label] = {
-            "real_time_ms": row["real_time"] / 1e6
-            if row.get("time_unit") == "ns" else row["real_time"],
+            "real_time_ms": row["real_time"] * MS_PER_UNIT[
+                row.get("time_unit", "ns")],
             "iterations": row.get("iterations"),
             # User-defined counters (states visited, states/sec, ...).
             "counters": {
@@ -125,7 +129,7 @@ def report_metrics(report):
     search = report.get("search", {})
     for key in ("states_visited", "transitions_fired", "backtracks",
                 "max_depth", "peak_visited_bytes", "elapsed_ms",
-                "heuristic_evals", "classes_merged", "beam_dropped"):
+                "heuristic_evals", "classes_merged"):
         if key in search:
             rows[key] = search[key]
     pruned = {k: search.get(f"pruned_{k}", 0)
