@@ -3,13 +3,16 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <thread>
 
+#include "base/assert.hpp"
 #include "base/cancel.hpp"
 #include "base/strings.hpp"
 #include "obs/explain.hpp"
@@ -19,6 +22,7 @@
 #include "tpn/dot.hpp"
 
 #include "core/project.hpp"
+#include "core/response.hpp"
 #include "core/run_report.hpp"
 #include "runtime/cyclic.hpp"
 #include "runtime/dispatcher_sim.hpp"
@@ -37,41 +41,13 @@ namespace ezrt::cli {
 
 namespace {
 
-// Documented exit codes (docs/robustness.md, `ezrt help`). Scripts and CI
-// branch on these, so the mapping is part of the tool's contract:
-//   0   success (feasible schedule, valid spec, clean simulation)
-//   1   runtime failure (I/O, unsupported feature, internal error,
-//       simulation detected deadline misses, replay diverged)
-//   2   infeasible — a definitive domain answer, not an error
-//   3   a configured budget tripped (state, wall-clock or memory limit)
-//   4   invalid input (malformed document, inconsistent spec, bad flags)
-//   130 cancelled (128 + SIGINT, the shell convention for ^C)
-constexpr int kOk = 0;
-constexpr int kFailure = 1;
-constexpr int kInfeasibleExit = 2;
-constexpr int kLimitExit = 3;
-constexpr int kInvalidInput = 4;
-constexpr int kCancelledExit = 130;
-
-[[nodiscard]] int exit_code_for(const Error& error) {
-  switch (error.code()) {
-    case ErrorCode::kInfeasible:
-      return kInfeasibleExit;
-    case ErrorCode::kLimitExceeded:
-      return kLimitExit;
-    case ErrorCode::kCancelled:
-      return kCancelledExit;
-    case ErrorCode::kInvalidArgument:
-    case ErrorCode::kParseError:
-    case ErrorCode::kValidationError:
-      return kInvalidInput;
-    case ErrorCode::kUnsupported:
-    case ErrorCode::kIoError:
-    case ErrorCode::kInternal:
-      return kFailure;
-  }
-  return kFailure;
-}
+// The exit codes are the tool-wide contract of core/response.hpp.
+using core::exit_code_for;
+using core::kExitCancelled;
+using core::kExitFailure;
+using core::kExitInvalidInput;
+using core::kExitLimit;
+using core::kExitOk;
 
 /// Prints the error and maps it to its documented exit code.
 [[nodiscard]] int fail(std::ostream& err, const Error& error) {
@@ -79,100 +55,341 @@ constexpr int kCancelledExit = 130;
   return exit_code_for(error);
 }
 
-/// Parsed command line: positionals plus --flag[=value] options.
+// -- Commands and options -----------------------------------------------------
+
+/// One bit per command; an option lists the commands that read it.
+enum CommandBit : std::uint32_t {
+  kInfo = 1u << 0,
+  kValidate = 1u << 1,
+  kSchedule = 1u << 2,
+  kExplain = 1u << 3,
+  kCodegen = 1u << 4,
+  kExportPnml = 1u << 5,
+  kExportDot = 1u << 6,
+  kSimulate = 1u << 7,
+  kWorkload = 1u << 8,
+  kBaseline = 1u << 9,
+  kReplay = 1u << 10,
+  kReach = 1u << 11,
+  kRobust = 1u << 12,
+  kServe = 1u << 13,
+};
+/// Commands that run the schedule search and so read its options.
+constexpr std::uint32_t kSearching =
+    kSchedule | kExplain | kCodegen | kSimulate | kRobust;
+/// Commands that build the time Petri net.
+constexpr std::uint32_t kBuilding =
+    kSearching | kExportPnml | kExportDot | kReplay | kReach;
+
+enum class Value : std::uint8_t {
+  kNone,           ///< a switch: --flag
+  kText,           ///< --flag VALUE or --flag=VALUE
+  kCount,          ///< a decimal integer in [min, max]
+  kBytes,          ///< a byte count with an optional k|m|g suffix
+  kOptionalCount,  ///< --flag or --flag=N (never a separate word)
+};
+
+struct Option {
+  std::string_view name;
+  Value value;
+  std::uint32_t commands;  ///< CommandBit set of the commands that read it
+  std::string metavar;     ///< the value's placeholder in the help text
+  std::string help;        ///< '\n' continues on an indented line
+  std::uint64_t min = 0;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
+/// Every option of every command. Consecutive entries with the same
+/// command set share one heading in `ezrt help`.
+const Option kOptions[] = {
+    {"sync-budget", Value::kCount,
+     kInfo | kValidate | kBuilding | kWorkload, "K",
+     "shared-sync pool K (docs/multiprocessor.md);\n"
+     "overrides the spec's, or sets the generated one",
+     0, kU32Max},
+    {"paper-blocks", Value::kNone, kBuilding, "",
+     "separate release and grant stages (the paper's)"},
+    {"complete", Value::kNone, kSearching, "",
+     "branch over every fireable transition, not\n"
+     "only the priority filter FT_P"},
+    {"optimize", Value::kText, kSearching, sched::objective_choices(),
+     "branch-and-bound for the best schedule\n(implies --complete)"},
+    {"engine", Value::kText, kSearching, sched::search_engine_choices(),
+     "exploration order (docs/search.md)"},
+    {"state-classes", Value::kText, kSearching,
+     sched::state_class_mode_choices(),
+     "class-keyed visited set + doom pruning\n"
+     "(auto: on for exhaustive runs)"},
+    {"threads", Value::kCount, kSearching, "N",
+     "parallel search (0 = serial, at most " +
+         std::to_string(sched::kMaxThreads) + ")",
+     0, sched::kMaxThreads},
+    {"deterministic", Value::kNone, kSearching, "",
+     "thread-count-independent outcome"},
+    {"max-states", Value::kCount, kSearching | kReach, "N",
+     "state budget (default " +
+         std::to_string(sched::SchedulerOptions{}.max_states) +
+         ", 0 = unbounded);\n"
+         "with the next two, the hard resource guards\n"
+         "(docs/robustness.md)"},
+    {"wall-limit", Value::kCount, kSearching | kReach, "MS",
+     "wall-clock budget (0 = off)"},
+    {"mem-limit", Value::kBytes, kSearching | kReach, "BYTES[k|m|g]",
+     "memory budget (0 = off)"},
+    {"progress", Value::kOptionalCount, kSchedule | kReach | kRobust, "MS",
+     "heartbeat on stderr (default every 1000 ms;\n"
+     "robust: during synthesis)"},
+    {"report", Value::kText, kSchedule | kExplain | kReach | kRobust, "FILE",
+     "JSON report: the schema-v" + std::to_string(core::kRunReportVersion) +
+         " run report (explain:\n"
+         "byte-deterministic; reach: with reachability);\n"
+         "robust: the resilience report"},
+    {"trace-out", Value::kText, kSchedule | kSimulate | kReach | kRobust,
+     "FILE",
+     "Chrome trace of the pipeline (simulate: the\n"
+     "dispatcher's virtual-time track)"},
+    {"trace", Value::kText, kSchedule, "FILE",
+     "write the firing schedule, for `ezrt replay`"},
+    {"no-minimize", Value::kNone, kExplain, "",
+     "skip the culprit/slack re-runs"},
+    {"sync-cap", Value::kCount, kExplain, "K",
+     "bound for the budget search (default 64)", 1, kU32Max},
+    {"output", Value::kText, kCodegen | kExportPnml | kExportDot | kWorkload,
+     "FILE",
+     "also -o; stdout without it (codegen: the\n"
+     "required output directory)"},
+    {"target", Value::kText, kCodegen, "host-sim|bare-metal",
+     "code generation target"},
+    {"mcu", Value::kText, kCodegen, "generic|8051|arm9|m68k|x86",
+     "bare-metal port"},
+    {"timer-hz", Value::kCount, kCodegen, "N", "dispatcher tick rate"},
+    {"priorities", Value::kNone, kExportDot, "",
+     "label transitions with their priorities"},
+    {"cycles", Value::kCount, kSimulate, "N",
+     "also check steady-state repetition, N periods"},
+    {"tasks", Value::kCount, kWorkload, "N", "task count", 0, kU32Max},
+    {"utilization", Value::kText, kWorkload, "U", "total utilization"},
+    {"preemptive", Value::kText, kWorkload, "F",
+     "fraction of preemptive tasks"},
+    {"precedence", Value::kCount, kWorkload, "N", "precedence edges", 0,
+     kU32Max},
+    {"exclusion", Value::kCount, kWorkload, "N", "exclusion pairs", 0,
+     kU32Max},
+    {"processors", Value::kCount, kWorkload, "P", "processor count", 0,
+     kU32Max},
+    {"placement", Value::kText, kWorkload, "partitioned|global",
+     "task placement"},
+    {"messages", Value::kCount, kWorkload, "N", "cross-core channels", 0,
+     kU32Max},
+    {"seed", Value::kCount, kWorkload | kRobust, "S",
+     "random seed (robust: fault materialization)"},
+    {"classes", Value::kNone, kReach, "",
+     "dense-time state-class graph"},
+    {"faults", Value::kText, kRobust, "SPEC",
+     "default wcet:0.3,drift:0.2,burst:0.1,fail:0.1"},
+    {"intensities", Value::kText, kRobust, "LIST",
+     "scale sweep (default 0.25,0.5,1,2,4)"},
+    {"trials", Value::kCount, kRobust, "N",
+     "trials per intensity (default 3)", 1, kU32Max},
+    {"policies", Value::kText, kRobust, "LIST",
+     "recovery policies, any of abort,skip-instance,\n"
+     "retry-next-slot,fallback-online (default all)"},
+    {"socket", Value::kText, kServe, "unix:PATH|tcp:HOST:PORT",
+     "default tcp:127.0.0.1:7420; tcp:HOST:0 picks\n"
+     "a free port"},
+    {"workers", Value::kCount, kServe, "N", "search worker threads", 1,
+     kU32Max},
+    {"queue-depth", Value::kCount, kServe, "N", "admission queue bound", 1,
+     kU32Max},
+    {"cache-entries", Value::kCount, kServe, "N",
+     "schedule cache capacity (0 = no storage)"},
+    {"budget", Value::kCount, kServe, "MS", "default per-request budget",
+     1},
+    {"degrade-queue", Value::kCount, kServe, "N",
+     "queue length at which exhaustive requests\n"
+     "degrade (0 = never)",
+     0,
+     kU32Max},
+    {"degrade-max-states", Value::kCount, kServe, "N",
+     "state budget of a degraded search", 1},
+    {"max-request-bytes", Value::kBytes, kServe, "BYTES[k|m|g]",
+     "frame cap (at most 64m)", 1, serve::kMaxFrameBytes},
+};
+
+[[nodiscard]] const Option* find_option(std::string_view name) {
+  for (const Option& option : kOptions) {
+    if (option.name == name) {
+      return &option;
+    }
+  }
+  return nullptr;
+}
+
+/// Parses a byte count with an optional k/m/g (binary) suffix: "64m",
+/// "2G", "1048576".
+[[nodiscard]] Result<std::uint64_t> parse_bytes(std::string_view text) {
+  const std::size_t unit = text.empty()
+                               ? std::string_view::npos
+                               : std::string_view("kKmMgG").find(text.back());
+  unsigned shift = 0;
+  if (unit != std::string_view::npos) {
+    shift = 10 * static_cast<unsigned>(unit / 2 + 1);
+    text.remove_suffix(1);
+  }
+  auto parsed = parse_uint(text);
+  if (!parsed.ok()) {
+    return parsed;
+  }
+  if (parsed.value() > std::numeric_limits<std::uint64_t>::max() >> shift) {
+    return make_error(ErrorCode::kInvalidArgument, "byte count overflows");
+  }
+  return parsed.value() << shift;
+}
+
+/// A numeric option value, checked against the option's range.
+[[nodiscard]] Result<std::uint64_t> parse_number(const Option& option,
+                                                 std::string_view text) {
+  auto parsed =
+      option.value == Value::kBytes ? parse_bytes(text) : parse_uint(text);
+  if (parsed.ok() &&
+      (parsed.value() < option.min || parsed.value() > option.max)) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      std::string(text) + " is out of range " +
+                          std::to_string(option.min) + ".." +
+                          std::to_string(option.max));
+  }
+  return parsed;
+}
+
+class Args;
+
+struct Command {
+  std::string_view name;
+  CommandBit bit;
+  std::size_t operand_count;  ///< exact number of positional arguments
+  const char* operands;
+  const char* help;
+  int (*handler)(const Args&, std::ostream& out, std::ostream& err,
+                 const base::CancelToken* cancel);
+};
+
+/// A command line checked against the option table: every option exists,
+/// applies to the command and carries a well-formed value, and the
+/// positional count matches the command's operands.
 class Args {
  public:
-  Args(const std::vector<std::string>& argv, std::size_t first) {
-    for (std::size_t i = first; i < argv.size(); ++i) {
+  [[nodiscard]] static Result<Args> parse(const std::vector<std::string>& argv,
+                                          const Command& command) {
+    Args args;
+    for (std::size_t i = 1; i < argv.size(); ++i) {
       const std::string& arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string::npos) {
-          options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else if (i + 1 < argv.size() && argv[i + 1].rfind("--", 0) != 0 &&
-                   wants_value(arg.substr(2))) {
-          options_[arg.substr(2)] = argv[++i];
-        } else {
-          options_[arg.substr(2)] = "";
-        }
-      } else if (arg == "-o" && i + 1 < argv.size()) {
-        options_["output"] = argv[++i];
-      } else {
-        positional_.push_back(arg);
+      if (arg.rfind("--", 0) != 0 && arg != "-o") {
+        args.positional_.push_back(arg);
+        continue;
       }
+      std::string_view name =
+          arg == "-o" ? "output" : std::string_view(arg).substr(2);
+      std::optional<std::string> text;
+      if (const std::size_t eq = name.find('='); eq != name.npos) {
+        text = std::string(name.substr(eq + 1));
+        name = name.substr(0, eq);
+      }
+      const std::string flag = "--" + std::string(name);
+      const Option* option = find_option(name);
+      if (option == nullptr) {
+        return invalid("unknown option '" + flag + "'");
+      }
+      if ((option->commands & command.bit) == 0) {
+        return invalid("option '" + flag + "' does not apply to '" +
+                       std::string(command.name) + "'");
+      }
+      if (option->value == Value::kNone && text.has_value()) {
+        return invalid("option '" + flag + "' takes no value");
+      }
+      if (option->value == Value::kOptionalCount && text == "") {
+        text.reset();  // --progress= is --progress
+      }
+      const bool needs_value = option->value != Value::kNone &&
+                               option->value != Value::kOptionalCount;
+      if (needs_value && !text.has_value()) {
+        if (i + 1 == argv.size() || argv[i + 1].rfind("--", 0) == 0) {
+          return invalid("option '" + flag + "' expects " + option->metavar);
+        }
+        text = argv[++i];
+      }
+      Entry entry;
+      if (text.has_value() && option->value != Value::kText) {
+        auto number = parse_number(*option, *text);
+        if (!number.ok()) {
+          return invalid(flag + ": " + number.error().message());
+        }
+        entry.number = number.value();
+      }
+      entry.text = text.value_or("");
+      args.options_[option->name] = std::move(entry);
     }
+    const std::string synopsis =
+        "ezrt " + std::string(command.name) + " " + command.operands;
+    if (args.positional_.size() < command.operand_count) {
+      return invalid("missing argument: " + synopsis);
+    }
+    if (args.positional_.size() > command.operand_count) {
+      return invalid("unexpected argument '" +
+                     args.positional_[command.operand_count] + "'");
+    }
+    return args;
   }
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
-  [[nodiscard]] bool has(const std::string& name) const {
+  [[nodiscard]] bool has(std::string_view name) const {
     return options_.contains(name);
   }
-  [[nodiscard]] std::optional<std::string> value(
-      const std::string& name) const {
+  [[nodiscard]] std::optional<std::string> value(std::string_view name) const {
     auto it = options_.find(name);
     if (it == options_.end()) {
       return std::nullopt;
     }
-    return it->second;
+    return it->second.text;
+  }
+  /// The value of a numeric option, already range-checked.
+  [[nodiscard]] std::optional<std::uint64_t> number(
+      std::string_view name) const {
+    auto it = options_.find(name);
+    if (it == options_.end()) {
+      return std::nullopt;
+    }
+    return it->second.number;
+  }
+  /// Stores a numeric option into `field` when it was given. The table
+  /// bounds each option to its field's width, so the cast never truncates.
+  template <typename Field>
+  void read(std::string_view name, Field& field) const {
+    if (auto n = number(name)) {
+      EZRT_CHECK(*n <= std::numeric_limits<Field>::max(),
+                 "the option table admits values its field cannot hold");
+      field = static_cast<Field>(*n);
+    }
   }
 
  private:
-  [[nodiscard]] static bool wants_value(const std::string& name) {
-    return name == "target" || name == "mcu" || name == "max-states" ||
-           name == "policy" || name == "trace" || name == "output" ||
-           name == "timer-hz" || name == "cycles" || name == "tasks" ||
-           name == "utilization" || name == "seed" || name == "preemptive" ||
-           name == "precedence" || name == "exclusion" ||
-           name == "optimize" || name == "threads" || name == "report" ||
-           name == "trace-out" || name == "wall-limit" ||
-           name == "mem-limit" || name == "faults" || name == "trials" ||
-           name == "intensities" || name == "policies" ||
-           name == "engine" ||
-           name == "state-classes" || name == "processors" ||
-           name == "placement" || name == "messages" ||
-           name == "sync-budget" || name == "sync-cap" ||
-           name == "socket" || name == "workers" || name == "queue-depth" ||
-           name == "cache-entries" || name == "budget" ||
-           name == "degrade-queue" || name == "degrade-max-states" ||
-           name == "max-request-bytes";
+  struct Entry {
+    std::string text;
+    std::optional<std::uint64_t> number;
+  };
+
+  [[nodiscard]] static Error invalid(std::string message) {
+    return make_error(ErrorCode::kInvalidArgument, std::move(message));
   }
+
   std::vector<std::string> positional_;
-  std::map<std::string, std::string> options_;
+  std::map<std::string_view, Entry> options_;
 };
 
-/// Parses a byte count with an optional k/m/g (binary) suffix: "64m",
-/// "2G", "1048576".
-[[nodiscard]] Result<std::uint64_t> parse_bytes(std::string_view text) {
-  std::uint64_t multiplier = 1;
-  if (!text.empty()) {
-    switch (text.back()) {
-      case 'k':
-      case 'K':
-        multiplier = 1ull << 10;
-        break;
-      case 'm':
-      case 'M':
-        multiplier = 1ull << 20;
-        break;
-      case 'g':
-      case 'G':
-        multiplier = 1ull << 30;
-        break;
-      default:
-        break;
-    }
-    if (multiplier != 1) {
-      text.remove_suffix(1);
-    }
-  }
-  auto parsed = parse_uint(text);
-  if (!parsed.ok()) {
-    return parsed.error();
-  }
-  return parsed.value() * multiplier;
-}
+// -- Shared plumbing ----------------------------------------------------------
 
 [[nodiscard]] Result<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -195,16 +412,43 @@ class Args {
   return Status();
 }
 
-/// Loads the project from the spec file named by the first positional.
-/// `tracer` (optional) records the spec-parse stage span; `cancel`
-/// (optional) is plumbed into the scheduler's resource guards.
+/// A decimal number that spans the whole text, or nullopt.
+[[nodiscard]] std::optional<double> parse_decimal(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(text, &used);
+    if (used == text.size()) {
+      return value;
+    }
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// Reads one of the sched option spellings, naming the flag on failure.
+template <typename Enum>
+[[nodiscard]] Status read_spelling(const Args& args, std::string_view name,
+                                   Result<Enum> (*parse)(std::string_view),
+                                   Enum& field) {
+  if (auto text = args.value(name)) {
+    auto parsed = parse(*text);
+    if (!parsed.ok()) {
+      return make_error(ErrorCode::kInvalidArgument,
+                        "--" + std::string(name) + " " +
+                            parsed.error().message());
+    }
+    field = parsed.value();
+  }
+  return Status();
+}
+
+/// Loads the project from the spec file named by the first positional,
+/// with the build and search options of the command line. `tracer`
+/// (optional) records the spec-parse stage span; `cancel` (optional) is
+/// plumbed into the scheduler's resource guards.
 [[nodiscard]] Result<core::Project> load_project(
     const Args& args, obs::Tracer* tracer = nullptr,
     const base::CancelToken* cancel = nullptr) {
-  if (args.positional().empty()) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "missing <spec.xml> argument");
-  }
   auto document = read_file(args.positional()[0]);
   if (!document.ok()) {
     return document.error();
@@ -217,72 +461,24 @@ class Args {
   if (args.has("complete")) {
     scheduler.pruning = sched::PruningMode::kNone;
   }
-  if (auto objective = args.value("optimize")) {
-    // Optimizing objectives explore exhaustively: imply the complete mode.
-    scheduler.pruning = sched::PruningMode::kNone;
-    if (*objective == "makespan") {
-      scheduler.objective = sched::Objective::kMinimizeMakespan;
-    } else if (*objective == "switches") {
-      scheduler.objective = sched::Objective::kMinimizeSwitches;
-    } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--optimize expects makespan|switches");
+  sched::Objective objective = sched::Objective::kFirstFeasible;
+  for (Status status :
+       {read_spelling(args, "optimize", sched::parse_objective, objective),
+        read_spelling(args, "engine", sched::parse_search_engine,
+                      scheduler.search_engine),
+        read_spelling(args, "state-classes", sched::parse_state_class_mode,
+                      scheduler.state_classes)}) {
+    if (!status.ok()) {
+      return status.error();
     }
   }
-  if (auto max_states = args.value("max-states")) {
-    auto parsed = parse_uint(*max_states);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.max_states = parsed.value();
-  }
-  if (auto wall = args.value("wall-limit")) {
-    auto parsed = parse_uint(*wall);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.wall_limit_ms = parsed.value();
-  }
-  if (auto mem = args.value("mem-limit")) {
-    auto parsed = parse_bytes(*mem);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.memory_limit_bytes = parsed.value();
-  }
+  sched::set_objective(scheduler, objective);
+  args.read("max-states", scheduler.max_states);
+  args.read("wall-limit", scheduler.wall_limit_ms);
+  args.read("mem-limit", scheduler.memory_limit_bytes);
+  args.read("threads", scheduler.threads);
+  scheduler.deterministic = args.has("deterministic");
   scheduler.cancel = cancel;
-  if (auto threads = args.value("threads")) {
-    auto parsed = parse_uint(*threads);
-    if (!parsed.ok()) {
-      return parsed.error();
-    }
-    scheduler.threads = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (args.has("deterministic")) {
-    scheduler.deterministic = true;
-  }
-  if (auto engine = args.value("engine")) {
-    if (*engine == "dfs") {
-      scheduler.search_engine = sched::SearchEngine::kDfs;
-    } else if (*engine == "bestfirst") {
-      scheduler.search_engine = sched::SearchEngine::kBestFirst;
-    } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--engine expects dfs|bestfirst");
-    }
-  }
-  if (auto classes = args.value("state-classes")) {
-    if (*classes == "auto") {
-      scheduler.state_classes = sched::StateClassMode::kAuto;
-    } else if (*classes == "on") {
-      scheduler.state_classes = sched::StateClassMode::kOn;
-    } else if (*classes == "off") {
-      scheduler.state_classes = sched::StateClassMode::kOff;
-    } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "--state-classes expects auto|on|off");
-    }
-  }
   auto parsed = [&] {
     obs::Span span(tracer, "spec-parse", "pipeline");
     return pnml::read_ezspec(document.value());
@@ -291,21 +487,92 @@ class Args {
     return parsed.error();
   }
   spec::Specification specification = std::move(parsed).value();
-  if (auto budget = args.value("sync-budget")) {
+  if (auto budget = args.number("sync-budget")) {
     // Override the declared shared-synchronization pool K: shrinking it
     // below a schedule's high-water mark flips the verdict to infeasible
     // (docs/multiprocessor.md).
-    auto parsed_budget = parse_uint(*budget);
-    if (!parsed_budget.ok()) {
-      return parsed_budget.error();
-    }
-    specification.set_sync_budget(
-        static_cast<std::uint32_t>(parsed_budget.value()));
+    specification.set_sync_budget(static_cast<std::uint32_t>(*budget));
   }
   return core::Project(std::move(specification), build, scheduler);
 }
 
-int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
+/// The --report and --trace-out files of one run, and the span tracer
+/// that feeds them. The tracer records when a Chrome trace is asked for,
+/// or a report that carries the stage spans.
+class Outputs {
+ public:
+  Outputs(const Args& args, bool report_has_spans)
+      : report_(args.value("report")),
+        trace_out_(args.value("trace-out")),
+        recording_(trace_out_.has_value() ||
+                   (report_has_spans && report_.has_value())) {}
+
+  [[nodiscard]] obs::Tracer* tracer() {
+    return recording_ ? &tracer_ : nullptr;
+  }
+  [[nodiscard]] bool wants_report() const { return report_.has_value(); }
+
+  /// Writes the report `render` produces, then the Chrome trace — each
+  /// only when asked for — and names the files on `out`.
+  template <typename Render>
+  [[nodiscard]] Status write(std::ostream& out, Render render,
+                             std::string_view lead = "") {
+    if (report_.has_value()) {
+      if (auto s = write_file(*report_, render()); !s.ok()) {
+        return s;
+      }
+      out << lead << "report written to " << *report_ << "\n";
+    }
+    return write_trace(out);
+  }
+
+  [[nodiscard]] Status write_trace(std::ostream& out) {
+    if (trace_out_.has_value()) {
+      if (auto s = obs::write_trace_file(tracer_, *trace_out_); !s.ok()) {
+        return s;
+      }
+      out << "trace written to " << *trace_out_ << "\n";
+    }
+    return Status();
+  }
+
+ private:
+  std::optional<std::string> report_;
+  std::optional<std::string> trace_out_;
+  bool recording_;
+  obs::Tracer tracer_;
+};
+
+/// The --progress heartbeat. It prints to stderr so stdout stays
+/// parseable; without the flag, sink() is null and nothing runs.
+class Progress {
+ public:
+  Progress(const Args& args, std::ostream& err) {
+    if (args.has("progress")) {
+      reporter_.emplace(sink_, err,
+                        std::chrono::milliseconds(
+                            args.number("progress").value_or(1000)));
+    }
+  }
+
+  [[nodiscard]] obs::ProgressSink* sink() {
+    return reporter_.has_value() ? &sink_ : nullptr;
+  }
+  void stop() {
+    if (reporter_.has_value()) {
+      reporter_->stop();
+    }
+  }
+
+ private:
+  obs::ProgressSink sink_;
+  std::optional<obs::ProgressReporter> reporter_;
+};
+
+// -- Command handlers ---------------------------------------------------------
+
+int cmd_info(const Args& args, std::ostream& out, std::ostream& err,
+             const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -353,80 +620,46 @@ int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
   }
   out << "  analytic schedulability pre-checks:\n"
       << runtime::format_admission(runtime::check_admission(s));
-  return kOk;
+  return kExitOk;
 }
 
-int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_validate(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
   }
   out << "specification is valid\n";
-  return kOk;
+  return kExitOk;
 }
 
 int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
                  const base::CancelToken* cancel) {
-  const auto report_path = args.value("report");
-  const auto trace_out_path = args.value("trace-out");
-  obs::Tracer tracer;
-  obs::Tracer* const tracer_ptr =
-      report_path.has_value() || trace_out_path.has_value() ? &tracer
-                                                            : nullptr;
-  auto project = load_project(args, tracer_ptr, cancel);
+  Outputs outputs(args, /*report_has_spans=*/true);
+  auto project = load_project(args, outputs.tracer(), cancel);
   if (!project.ok()) {
     return fail(err, project.error());
   }
   core::Project& p = project.value();
-  p.set_tracer(tracer_ptr);
-  if (report_path.has_value()) {
+  p.set_tracer(outputs.tracer());
+  if (outputs.wants_report()) {
     // Reports carry the per-worker/per-shard breakdown; collection runs
     // after the verdict and never perturbs the search.
     p.scheduler_options().collect_telemetry = true;
   }
 
-  obs::ProgressSink sink;
-  std::optional<obs::ProgressReporter> reporter;
-  if (args.has("progress")) {
-    std::uint64_t interval_ms = 1000;
-    if (auto value = args.value("progress");
-        value.has_value() && !value->empty()) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --progress: " << parsed.error() << "\n";
-        return kInvalidInput;
-      }
-      interval_ms = parsed.value();
-    }
-    p.scheduler_options().progress = &sink;
-    // Heartbeats go to stderr so stdout stays parseable.
-    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
-  }
-
+  Progress progress(args, err);
+  p.scheduler_options().progress = progress.sink();
   const Status status = p.schedule();
-  if (reporter.has_value()) {
-    reporter->stop();
-  }
+  progress.stop();
 
   // Report and Chrome trace are written on success *and* failure: the
   // effort spent proving infeasibility is exactly what one wants to
   // inspect afterwards. Run after the table/trace outputs so their
   // pipeline spans land in the report.
-  auto write_observability = [&]() -> Status {
-    if (report_path.has_value()) {
-      if (auto s = write_file(*report_path, core::run_report_json(p, tracer_ptr));
-          !s.ok()) {
-        return s;
-      }
-      out << "report written to " << *report_path << "\n";
-    }
-    if (trace_out_path.has_value()) {
-      if (auto s = obs::write_trace_file(tracer, *trace_out_path); !s.ok()) {
-        return s;
-      }
-      out << "trace written to " << *trace_out_path << "\n";
-    }
-    return Status();
+  auto write_outputs = [&] {
+    return outputs.write(
+        out, [&] { return core::run_report_json(p, outputs.tracer()); });
   };
 
   if (!status.ok()) {
@@ -437,7 +670,7 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
     }
     // The report is still written with the partial search statistics —
     // a cancelled or budget-limited run leaves a full audit trail.
-    if (auto s = write_observability(); !s.ok()) {
+    if (auto s = write_outputs(); !s.ok()) {
       err << "error: " << s.error() << "\n";
     }
     return exit_code_for(status.error());
@@ -471,34 +704,15 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err,
     }
     out << "trace written to " << *trace_path << "\n";
   }
-  if (auto s = write_observability(); !s.ok()) {
+  if (auto s = write_outputs(); !s.ok()) {
     return fail(err, s.error());
   }
-  return kOk;
-}
-
-/// Exit code for the explain command: mirrors the verdict the
-/// explanation was built for, so scripts can branch identically on
-/// `ezrt schedule` and `ezrt explain`.
-[[nodiscard]] int exit_code_for(sched::SearchStatus status) {
-  switch (status) {
-    case sched::SearchStatus::kFeasible:
-      return kOk;
-    case sched::SearchStatus::kInfeasible:
-      return kInfeasibleExit;
-    case sched::SearchStatus::kLimitReached:
-    case sched::SearchStatus::kTimeLimit:
-    case sched::SearchStatus::kMemoryLimit:
-      return kLimitExit;
-    case sched::SearchStatus::kCancelled:
-      return kCancelledExit;
-  }
-  return kFailure;
+  return kExitOk;
 }
 
 int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
                 const base::CancelToken* cancel) {
-  const auto report_path = args.value("report");
+  Outputs outputs(args, /*report_has_spans=*/false);
   auto project = load_project(args, nullptr, cancel);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -520,18 +734,8 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
   }
 
   obs::ExplainOptions explain_options;
-  if (args.has("no-minimize")) {
-    explain_options.minimize = false;
-  }
-  if (auto cap = args.value("sync-cap")) {
-    auto parsed = parse_uint(*cap);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --sync-cap expects a positive budget\n";
-      return kInvalidInput;
-    }
-    explain_options.sync_budget_cap =
-        static_cast<std::uint32_t>(parsed.value());
-  }
+  explain_options.minimize = !args.has("no-minimize");
+  args.read("sync-cap", explain_options.sync_budget_cap);
 
   // Layer 1 first: a violated necessary condition explains infeasibility
   // without any search, so trivially-doomed specs answer in microseconds.
@@ -564,21 +768,21 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
   }
 
   out << obs::render_explanation(explanation);
-  if (report_path.has_value()) {
-    core::RunReportExtras extras;
-    extras.explanation = &explanation;
-    extras.deterministic = true;
-    if (auto s = write_file(*report_path,
-                            core::run_report_json(p, nullptr, &extras));
-        !s.ok()) {
-      return fail(err, s.error());
-    }
-    out << "report written to " << *report_path << "\n";
+  core::RunReportExtras extras;
+  extras.explanation = &explanation;
+  extras.deterministic = true;
+  if (auto s = outputs.write(
+          out, [&] { return core::run_report_json(p, nullptr, &extras); });
+      !s.ok()) {
+    return fail(err, s.error());
   }
+  // The exit code mirrors the verdict the explanation was built for, so
+  // scripts can branch identically on `ezrt schedule` and `ezrt explain`.
   return exit_code_for(explanation.status);
 }
 
-int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err,
+                const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -586,7 +790,7 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
   const auto dir = args.value("output");
   if (!dir.has_value()) {
     err << "error: codegen requires -o <dir>\n";
-    return kInvalidInput;
+    return kExitInvalidInput;
   }
   codegen::CodegenOptions options;
   if (auto target = args.value("target")) {
@@ -596,25 +800,18 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
       options.target = codegen::Target::kHostSim;
     } else {
       err << "error: unknown target '" << *target << "'\n";
-      return kInvalidInput;
+      return kExitInvalidInput;
     }
   }
   if (auto mcu = args.value("mcu")) {
     auto family = codegen::mcu_family_from_string(*mcu);
     if (!family.ok()) {
       err << "error: " << family.error() << "\n";
-      return kInvalidInput;
+      return kExitInvalidInput;
     }
     options.mcu = family.value();
   }
-  if (auto hz = args.value("timer-hz")) {
-    auto parsed = parse_uint(*hz);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    options.timer_hz = parsed.value();
-  }
+  args.read("timer-hz", options.timer_hz);
   auto code = project.value().generate_code(options);
   if (!code.ok()) {
     return fail(err, code.error());
@@ -630,10 +827,25 @@ int cmd_codegen(const Args& args, std::ostream& out, std::ostream& err) {
     out << "wrote " << (std::filesystem::path(*dir) / file.name).string()
         << "\n";
   }
-  return kOk;
+  return kExitOk;
 }
 
-int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err) {
+/// Writes `document` to the -o file, or to `out` without one.
+int emit(const Args& args, const std::string& document, std::ostream& out,
+         std::ostream& err) {
+  if (auto path = args.value("output")) {
+    if (auto status = write_file(*path, document); !status.ok()) {
+      return fail(err, status.error());
+    }
+    out << "wrote " << *path << "\n";
+  } else {
+    out << document;
+  }
+  return kExitOk;
+}
+
+int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err,
+                   const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -643,20 +855,12 @@ int cmd_export_dot(const Args& args, std::ostream& out, std::ostream& err) {
   }
   tpn::DotOptions options;
   options.show_priorities = args.has("priorities");
-  const std::string dot =
-      tpn::write_dot(project.value().model().net, options);
-  if (auto path = args.value("output")) {
-    if (auto status = write_file(*path, dot); !status.ok()) {
-      return fail(err, status.error());
-    }
-    out << "wrote " << *path << "\n";
-  } else {
-    out << dot;
-  }
-  return kOk;
+  return emit(args, tpn::write_dot(project.value().model().net, options),
+              out, err);
 }
 
-int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err,
+                    const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -665,34 +869,24 @@ int cmd_export_pnml(const Args& args, std::ostream& out, std::ostream& err) {
   if (!document.ok()) {
     return fail(err, document.error());
   }
-  if (auto path = args.value("output")) {
-    if (auto status = write_file(*path, document.value()); !status.ok()) {
-      return fail(err, status.error());
-    }
-    out << "wrote " << *path << "\n";
-  } else {
-    out << document.value();
-  }
-  return kOk;
+  return emit(args, document.value(), out, err);
 }
 
-int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto trace_out_path = args.value("trace-out");
-  obs::Tracer tracer;
-  obs::Tracer* const tracer_ptr =
-      trace_out_path.has_value() ? &tracer : nullptr;
-  auto project = load_project(args, tracer_ptr);
+int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
+  Outputs outputs(args, /*report_has_spans=*/false);
+  auto project = load_project(args, outputs.tracer());
   if (!project.ok()) {
     return fail(err, project.error());
   }
   core::Project& p = project.value();
-  p.set_tracer(tracer_ptr);
+  p.set_tracer(outputs.tracer());
   auto table = p.table();
   if (!table.ok()) {
     return fail(err, table.error());
   }
   runtime::DispatchSimOptions sim_options;
-  sim_options.tracer = tracer_ptr;
+  sim_options.tracer = outputs.tracer();
   const runtime::DispatcherRun run = runtime::simulate_dispatcher(
       p.specification(), table.value(), sim_options);
   out << "dispatcher run: " << run.outcomes.size() << " instances, "
@@ -710,20 +904,11 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     out << "end-to-end chain latency:\n"
         << runtime::format_latency(p.specification(), latencies) << "\n";
   }
-  if (trace_out_path.has_value()) {
-    if (auto status = obs::write_trace_file(tracer, *trace_out_path);
-        !status.ok()) {
-      return fail(err, status.error());
-    }
-    out << "trace written to " << *trace_out_path << "\n";
+  if (auto status = outputs.write_trace(out); !status.ok()) {
+    return fail(err, status.error());
   }
 
-  if (auto cycles = args.value("cycles")) {
-    auto parsed = parse_uint(*cycles);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
+  if (auto cycles = args.number("cycles")) {
     const runtime::CyclicCheck check =
         runtime::check_repeatable(p.specification(), table.value());
     if (!check.repeatable) {
@@ -731,42 +916,30 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
       for (const std::string& reason : check.reasons) {
         err << "  - " << reason << "\n";
       }
-      return kFailure;
+      return kExitFailure;
     }
     const runtime::CyclicRun cyclic = runtime::simulate_cyclic(
-        p.specification(), table.value(), parsed.value());
+        p.specification(), table.value(), *cycles);
     out << "cyclic run over " << cyclic.cycles << " schedule periods: "
         << cyclic.instances_completed << " instances, "
         << cyclic.deadline_misses << " misses, "
         << cyclic.context_switches << " context switches, busy "
         << cyclic.total_busy << " / idle " << cyclic.total_idle << "\n";
-    return cyclic.ok && run.ok() ? kOk : kFailure;
+    return cyclic.ok && run.ok() ? kExitOk : kExitFailure;
   }
-  return run.ok() ? kOk : kFailure;
+  return run.ok() ? kExitOk : kExitFailure;
 }
 
-int cmd_workload(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_workload(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   workload::WorkloadConfig config;
-  auto read_u64 = [&](const char* name, auto& field) -> bool {
-    if (auto value = args.value(name)) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --" << name << ": " << parsed.error() << "\n";
-        return false;
-      }
-      field = static_cast<std::remove_reference_t<decltype(field)>>(
-          parsed.value());
-    }
-    return true;
-  };
-  if (!read_u64("tasks", config.tasks) || !read_u64("seed", config.seed) ||
-      !read_u64("precedence", config.precedence_edges) ||
-      !read_u64("exclusion", config.exclusion_pairs) ||
-      !read_u64("processors", config.processors) ||
-      !read_u64("messages", config.messages) ||
-      !read_u64("sync-budget", config.sync_budget)) {
-    return kInvalidInput;
-  }
+  args.read("tasks", config.tasks);
+  args.read("seed", config.seed);
+  args.read("precedence", config.precedence_edges);
+  args.read("exclusion", config.exclusion_pairs);
+  args.read("processors", config.processors);
+  args.read("messages", config.messages);
+  args.read("sync-budget", config.sync_budget);
   if (auto value = args.value("placement")) {
     if (*value == "partitioned") {
       config.placement = workload::Placement::kPartitioned;
@@ -774,23 +947,20 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err) {
       config.placement = workload::Placement::kGlobal;
     } else {
       err << "error: --placement expects partitioned|global\n";
-      return kInvalidInput;
+      return kExitInvalidInput;
     }
   }
-  if (auto value = args.value("utilization")) {
-    try {
-      config.utilization = std::stod(*value);
-    } catch (const std::exception&) {
-      err << "error: --utilization expects a number\n";
-      return kInvalidInput;
-    }
-  }
-  if (auto value = args.value("preemptive")) {
-    try {
-      config.preemptive_fraction = std::stod(*value);
-    } catch (const std::exception&) {
-      err << "error: --preemptive expects a fraction\n";
-      return kInvalidInput;
+  for (auto [name, field] : {std::pair{"utilization", &config.utilization},
+                              std::pair{"preemptive",
+                                        &config.preemptive_fraction}}) {
+    if (auto text = args.value(name)) {
+      const std::optional<double> value = parse_decimal(*text);
+      if (!value.has_value()) {
+        err << "error: --" << name << " expects a number, got '" << *text
+            << "'\n";
+        return kExitInvalidInput;
+      }
+      *field = *value;
     }
   }
   auto generated = workload::generate(config);
@@ -810,10 +980,11 @@ int cmd_workload(const Args& args, std::ostream& out, std::ostream& err) {
   } else {
     out << document.value();
   }
-  return kOk;
+  return kExitOk;
 }
 
-int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err,
+                 const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
@@ -833,17 +1004,14 @@ int cmd_baseline(const Args& args, std::ostream& out, std::ostream& err) {
                   static_cast<unsigned long long>(r.dispatches));
     out << line;
   }
-  return kOk;
+  return kExitOk;
 }
 
-int cmd_replay(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_replay(const Args& args, std::ostream& out, std::ostream& err,
+               const base::CancelToken*) {
   auto project = load_project(args);
   if (!project.ok()) {
     return fail(err, project.error());
-  }
-  if (args.positional().size() < 2) {
-    err << "error: replay requires <spec.xml> <trace-file>\n";
-    return kInvalidInput;
   }
   core::Project& p = project.value();
   if (auto status = p.build(); !status.ok()) {
@@ -867,75 +1035,28 @@ int cmd_replay(const Args& args, std::ostream& out, std::ostream& err) {
       tpn::is_final_marking(p.model().net, final_state.value().marking());
   out << "replayed " << trace.value().size() << " firings; final marking "
       << (reaches_goal ? "reaches" : "DOES NOT reach") << " M_F\n";
-  return reaches_goal ? kOk : kFailure;
+  return reaches_goal ? kExitOk : kExitFailure;
 }
 
 int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
               const base::CancelToken* cancel) {
-  const auto report_path = args.value("report");
-  const auto trace_out_path = args.value("trace-out");
-  obs::Tracer tracer;
-  obs::Tracer* const tracer_ptr =
-      report_path.has_value() || trace_out_path.has_value() ? &tracer
-                                                            : nullptr;
-  auto project = load_project(args, tracer_ptr, cancel);
+  Outputs outputs(args, /*report_has_spans=*/true);
+  auto project = load_project(args, outputs.tracer(), cancel);
   if (!project.ok()) {
     return fail(err, project.error());
   }
   core::Project& p = project.value();
-  p.set_tracer(tracer_ptr);
+  p.set_tracer(outputs.tracer());
   if (auto status = p.build(); !status.ok()) {
     return fail(err, status.error());
   }
-  sched::ReachabilityOptions reach_options;
-  reach_options.cancel = cancel;
-
-  obs::ProgressSink sink;
-  std::optional<obs::ProgressReporter> reporter;
-  if (args.has("progress")) {
-    std::uint64_t interval_ms = 1000;
-    if (auto value = args.value("progress");
-        value.has_value() && !value->empty()) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --progress: " << parsed.error() << "\n";
-        return kInvalidInput;
-      }
-      interval_ms = parsed.value();
-    }
-    reach_options.progress = &sink;
-    // Heartbeats go to stderr so stdout stays parseable.
-    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
-  }
-  std::uint64_t max_states = reach_options.max_states;
-  if (auto value = args.value("max-states")) {
-    auto parsed = parse_uint(*value);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    max_states = parsed.value();
-  }
-  if (auto value = args.value("wall-limit")) {
-    auto parsed = parse_uint(*value);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    reach_options.wall_limit_ms = parsed.value();
-  }
-  if (auto value = args.value("mem-limit")) {
-    auto parsed = parse_bytes(*value);
-    if (!parsed.ok()) {
-      err << "error: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    reach_options.memory_limit_bytes = parsed.value();
-  }
+  // load_project parsed the guard flags into the search options.
+  const sched::SchedulerOptions& guards = p.scheduler_options();
+  Progress progress(args, err);
   if (args.has("classes")) {
     // Dense-time analysis via the state-class graph (Berthomieu-Diaz).
     tpn::ClassGraphOptions options;
-    options.max_classes = max_states;
+    options.max_classes = guards.max_states;
     const tpn::ClassGraphResult result =
         tpn::build_class_graph(p.model().net, options);
     out << "state-class graph ("
@@ -947,35 +1068,31 @@ int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
         << (result.final_reachable ? "yes" : "no") << "\n"
         << "  miss reachable:    "
         << (result.miss_reachable ? "yes" : "no") << "\n";
-    return kOk;
+    return kExitOk;
   }
-  sched::ReachabilityOptions options = reach_options;
-  options.max_states = max_states;
+  sched::ReachabilityOptions options;
+  options.max_states = guards.max_states;
+  options.wall_limit_ms = guards.wall_limit_ms;
+  options.memory_limit_bytes = guards.memory_limit_bytes;
+  options.cancel = cancel;
+  options.progress = progress.sink();
   const sched::ReachabilityResult result = [&] {
-    obs::Span span(tracer_ptr, "reachability", "pipeline");
+    obs::Span span(outputs.tracer(), "reachability", "pipeline");
     return sched::explore(p.model().net, options);
   }();
-  if (reporter.has_value()) {
-    reporter->stop();
-  }
+  progress.stop();
   // Report and Chrome trace are written for every stop reason: a
   // budget-limited exploration leaves the same audit trail as a complete
   // one (mirrors `ezrt schedule --report`).
-  if (report_path.has_value()) {
-    core::RunReportExtras extras;
-    extras.reachability = &result;
-    if (auto s = write_file(*report_path,
-                            core::run_report_json(p, tracer_ptr, &extras));
-        !s.ok()) {
-      return fail(err, s.error());
-    }
-    out << "report written to " << *report_path << "\n";
-  }
-  if (trace_out_path.has_value()) {
-    if (auto s = obs::write_trace_file(tracer, *trace_out_path); !s.ok()) {
-      return fail(err, s.error());
-    }
-    out << "trace written to " << *trace_out_path << "\n";
+  core::RunReportExtras extras;
+  extras.reachability = &result;
+  if (auto s = outputs.write(out,
+                             [&] {
+                               return core::run_report_json(
+                                   p, outputs.tracer(), &extras);
+                             });
+      !s.ok()) {
+    return fail(err, s.error());
   }
   out << "reachability ("
       << (result.complete ? "complete" : sched::to_string(result.stop))
@@ -993,14 +1110,14 @@ int cmd_reach(const Args& args, std::ostream& out, std::ostream& err,
   switch (result.stop) {
     case sched::ReachabilityStop::kTimeLimit:
     case sched::ReachabilityStop::kMemoryLimit:
-      return kLimitExit;
+      return kExitLimit;
     case sched::ReachabilityStop::kCancelled:
-      return kCancelledExit;
+      return kExitCancelled;
     case sched::ReachabilityStop::kComplete:
     case sched::ReachabilityStop::kStateBudget:
       break;
   }
-  return kOk;
+  return kExitOk;
 }
 
 int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
@@ -1016,107 +1133,45 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
   campaign.cancel = cancel;
   if (auto list = args.value("intensities")) {
     campaign.intensities.clear();
-    std::size_t pos = 0;
-    while (pos <= list->size()) {
-      const std::size_t comma = std::min(list->find(',', pos), list->size());
-      const std::string entry = list->substr(pos, comma - pos);
-      pos = comma + 1;
-      try {
-        std::size_t used = 0;
-        const double v = std::stod(entry, &used);
-        if (used != entry.size() || !(v > 0.0)) {
-          throw std::invalid_argument(entry);
-        }
-        campaign.intensities.push_back(v);
-      } catch (const std::exception&) {
+    for (const std::string& entry : split(*list, ',')) {
+      const std::optional<double> value = parse_decimal(entry);
+      if (!value.has_value() || !(*value > 0.0)) {
         err << "error: --intensities expects positive numbers, got '"
             << entry << "'\n";
-        return kInvalidInput;
+        return kExitInvalidInput;
       }
-      if (comma == list->size()) {
-        break;
-      }
-    }
-    if (campaign.intensities.empty()) {
-      err << "error: --intensities is empty\n";
-      return kInvalidInput;
+      campaign.intensities.push_back(*value);
     }
   }
-  if (auto trials = args.value("trials")) {
-    auto parsed = parse_uint(*trials);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --trials expects a positive count\n";
-      return kInvalidInput;
-    }
-    campaign.trials = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto seed = args.value("seed")) {
-    auto parsed = parse_uint(*seed);
-    if (!parsed.ok()) {
-      err << "error: --seed: " << parsed.error() << "\n";
-      return kInvalidInput;
-    }
-    campaign.seed = parsed.value();
-  }
+  args.read("trials", campaign.trials);
+  args.read("seed", campaign.seed);
   if (auto list = args.value("policies")) {
     campaign.policies.clear();
-    std::size_t pos = 0;
-    while (pos <= list->size()) {
-      const std::size_t comma = std::min(list->find(',', pos), list->size());
-      auto policy = runtime::parse_recovery_policy(
-          std::string_view(*list).substr(pos, comma - pos));
+    for (const std::string& entry : split(*list, ',')) {
+      auto policy = runtime::parse_recovery_policy(entry);
       if (!policy.ok()) {
         return fail(err, policy.error());
       }
       campaign.policies.push_back(policy.value());
-      pos = comma + 1;
-      if (comma == list->size()) {
-        break;
-      }
-    }
-    if (campaign.policies.empty()) {
-      err << "error: --policies is empty\n";
-      return kInvalidInput;
     }
   }
 
-  const auto report_path = args.value("report");
-  const auto trace_out_path = args.value("trace-out");
-  obs::Tracer tracer;
-  obs::Tracer* const tracer_ptr =
-      trace_out_path.has_value() ? &tracer : nullptr;
-  campaign.tracer = tracer_ptr;
-
-  auto project = load_project(args, tracer_ptr, cancel);
+  // The resilience report carries no stage spans.
+  Outputs outputs(args, /*report_has_spans=*/false);
+  campaign.tracer = outputs.tracer();
+  auto project = load_project(args, outputs.tracer(), cancel);
   if (!project.ok()) {
     return fail(err, project.error());
   }
   core::Project& p = project.value();
-  p.set_tracer(tracer_ptr);
+  p.set_tracer(outputs.tracer());
 
   // --progress covers the synthesis phase (the search is where a campaign
   // can stall); the trial sweep afterwards is bounded work.
-  obs::ProgressSink sink;
-  std::optional<obs::ProgressReporter> reporter;
-  if (args.has("progress")) {
-    std::uint64_t interval_ms = 1000;
-    if (auto value = args.value("progress");
-        value.has_value() && !value->empty()) {
-      auto parsed = parse_uint(*value);
-      if (!parsed.ok()) {
-        err << "error: --progress: " << parsed.error() << "\n";
-        return kInvalidInput;
-      }
-      interval_ms = parsed.value();
-    }
-    p.scheduler_options().progress = &sink;
-    reporter.emplace(sink, err, std::chrono::milliseconds(interval_ms));
-  }
-
+  Progress progress(args, err);
+  p.scheduler_options().progress = progress.sink();
   auto table = p.table();  // synthesizes the schedule on demand
-  if (reporter.has_value()) {
-    reporter->stop();
-  }
+  progress.stop();
   if (!table.ok()) {
     return fail(err, table.error());
   }
@@ -1130,94 +1185,34 @@ int cmd_robust(const Args& args, std::ostream& out, std::ostream& err,
       << campaign.policies.size() << " policies"
       << (report.cancelled ? " (cancelled)" : "") << "\n\n"
       << runtime::format_resilience(report);
-
-  if (report_path.has_value()) {
-    if (auto s = write_file(*report_path,
-                            runtime::resilience_report_json(report));
-        !s.ok()) {
-      return fail(err, s.error());
-    }
-    out << "\nreport written to " << *report_path << "\n";
+  if (auto s = outputs.write(
+          out, [&] { return runtime::resilience_report_json(report); },
+          "\n");
+      !s.ok()) {
+    return fail(err, s.error());
   }
-  if (trace_out_path.has_value()) {
-    if (auto s = obs::write_trace_file(tracer, *trace_out_path); !s.ok()) {
-      return fail(err, s.error());
-    }
-    out << "trace written to " << *trace_out_path << "\n";
-  }
-  return report.cancelled ? kCancelledExit : kOk;
+  return report.cancelled ? kExitCancelled : kExitOk;
 }
 
 int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
               const base::CancelToken* cancel) {
   serve::ServerOptions options;
   options.endpoint = args.value("socket").value_or("tcp:127.0.0.1:7420");
-  if (auto workers = args.value("workers")) {
-    auto parsed = parse_uint(*workers);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --workers expects a positive count\n";
-      return kInvalidInput;
-    }
-    options.workers = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto depth = args.value("queue-depth")) {
-    auto parsed = parse_uint(*depth);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --queue-depth expects a positive depth\n";
-      return kInvalidInput;
-    }
-    options.queue_depth = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto entries = args.value("cache-entries")) {
-    auto parsed = parse_uint(*entries);
-    if (!parsed.ok()) {
-      err << "error: --cache-entries expects a count\n";
-      return kInvalidInput;
-    }
-    options.cache_entries = static_cast<std::size_t>(parsed.value());
-  }
-  if (auto budget = args.value("budget")) {
-    auto parsed = parse_uint(*budget);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --budget expects a positive default budget in ms\n";
-      return kInvalidInput;
-    }
-    options.default_budget_ms = parsed.value();
-  }
-  if (auto degrade = args.value("degrade-queue")) {
-    auto parsed = parse_uint(*degrade);
-    if (!parsed.ok()) {
-      err << "error: --degrade-queue expects a queue length (0 = never)\n";
-      return kInvalidInput;
-    }
-    options.degrade_queue = static_cast<std::uint32_t>(parsed.value());
-  }
-  if (auto states = args.value("degrade-max-states")) {
-    auto parsed = parse_uint(*states);
-    if (!parsed.ok() || parsed.value() == 0) {
-      err << "error: --degrade-max-states expects a positive budget\n";
-      return kInvalidInput;
-    }
-    options.degrade_max_states = parsed.value();
-  }
-  if (auto bytes = args.value("max-request-bytes")) {
-    auto parsed = parse_bytes(*bytes);
-    if (!parsed.ok() || parsed.value() == 0 ||
-        parsed.value() > serve::kMaxFrameBytes) {
-      err << "error: --max-request-bytes expects 1.." "64m\n";
-      return kInvalidInput;
-    }
-    options.max_request_bytes = static_cast<std::uint32_t>(parsed.value());
-  }
+  args.read("workers", options.workers);
+  args.read("queue-depth", options.queue_depth);
+  args.read("cache-entries", options.cache_entries);
+  args.read("budget", options.default_budget_ms);
+  args.read("degrade-queue", options.degrade_queue);
+  args.read("degrade-max-states", options.degrade_max_states);
+  args.read("max-request-bytes", options.max_request_bytes);
 
-  serve::Server server(std::move(options));
+  serve::Server server(options);
   if (auto status = server.start(); !status.ok()) {
     return fail(err, status.error());
   }
   out << "serving on " << server.endpoint() << " ("
-      << "workers, queue, cache: " << args.value("workers").value_or("2")
-      << ", " << args.value("queue-depth").value_or("32") << ", "
-      << args.value("cache-entries").value_or("128") << ")\n"
+      << "workers, queue, cache: " << options.workers << ", "
+      << options.queue_depth << ", " << options.cache_entries << ")\n"
       << "SIGINT/SIGTERM drain in-flight requests before exit\n";
   out.flush();
   while (!(cancel != nullptr && cancel->requested())) {
@@ -1233,156 +1228,130 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err,
       << " degraded, " << stats.invalid << " invalid, cache "
       << stats.cache.hits << " hits / " << stats.cache.misses
       << " misses / " << stats.cache.coalesced << " coalesced\n";
-  return kCancelledExit;
+  return kExitCancelled;
+}
+
+constexpr Command kCommands[] = {
+    {"info", kInfo, 1, "<spec.xml>",
+     "derived quantities (hyper-period, instances, U)", cmd_info},
+    {"validate", kValidate, 1, "<spec.xml>",
+     "check the spec against the metamodel rules", cmd_validate},
+    {"schedule", kSchedule, 1, "<spec.xml>",
+     "synthesize a schedule and print the table\n"
+     "(one per core, plus the bus timeline, on\n"
+     "multi-processor specs)",
+     cmd_schedule},
+    {"explain", kExplain, 1, "<spec.xml>",
+     "verdict provenance (docs/explain.md): analytic\n"
+     "certificates, blame, 1-minimal culprit sets,\n"
+     "sync-budget bound and WCET slack; the exit\n"
+     "code mirrors the verdict",
+     cmd_explain},
+    {"codegen", kCodegen, 1, "<spec.xml>",
+     "emit the scheduled C program (-o DIR)", cmd_codegen},
+    {"export-pnml", kExportPnml, 1, "<spec.xml>",
+     "write the composed time Petri net", cmd_export_pnml},
+    {"export-dot", kExportDot, 1, "<spec.xml>",
+     "Graphviz rendering of the net", cmd_export_dot},
+    {"simulate", kSimulate, 1, "<spec.xml>",
+     "dispatcher simulation, metrics and Gantt", cmd_simulate},
+    {"workload", kWorkload, 0, "", "generate a random task set",
+     cmd_workload},
+    {"baseline", kBaseline, 1, "<spec.xml>",
+     "compare on-line EDF/DM/RM/NP-EDF schedulers", cmd_baseline},
+    {"replay", kReplay, 2, "<spec.xml> <trace>",
+     "audit a stored firing schedule", cmd_replay},
+    {"reach", kReach, 1, "<spec.xml>",
+     "bounded reachability / property check", cmd_reach},
+    {"robust", kRobust, 1, "<spec.xml>",
+     "fault-injection campaign over the schedule", cmd_robust},
+    {"serve", kServe, 0, "",
+     "scheduling-as-a-service socket server\n"
+     "(docs/serve.md): cached, deadline-aware,\n"
+     "drains on SIGTERM",
+     cmd_serve},
+};
+
+/// Appends `head` padded to the help column, then `help` with its
+/// continuation lines indented to that column.
+void help_line(std::string& text, const std::string& head,
+               std::string_view help) {
+  constexpr std::size_t kColumn = 30;
+  const std::string indent(kColumn, ' ');
+  text += head;
+  text += head.size() < kColumn ? std::string(kColumn - head.size(), ' ')
+                                : "\n" + indent;
+  text += replace_all(help, "\n", "\n" + indent);
+  text += "\n";
 }
 
 }  // namespace
 
 std::string usage() {
-  return
+  std::string text =
       "ezrt — pre-runtime schedule synthesis for embedded hard real-time "
       "systems\n"
       "\n"
-      "usage: ezrt <command> <spec.xml> [options]\n"
+      "usage: ezrt <command> [operands] [options]\n"
       "\n"
-      "commands:\n"
-      "  info         show derived quantities (hyper-period, instances, U)\n"
-      "  validate     check the specification against the metamodel rules\n"
-      "  schedule     synthesize a schedule and print the table\n"
-      "               [--complete] [--paper-blocks] [--max-states N]\n"
-      "               [--wall-limit MS] [--mem-limit BYTES[k|m|g]] hard\n"
-      "               resource guards (docs/robustness.md)\n"
-      "               [--trace FILE] [--optimize makespan|switches]\n"
-      "               [--threads N] parallel search (0 = serial engine)\n"
-      "               [--deterministic] thread-count-independent outcome\n"
-      "               [--engine dfs|bestfirst] exploration order\n"
-      "               (docs/search.md)\n"
-      "               [--state-classes auto|on|off] class-keyed visited\n"
-      "               set + doom pruning (auto: on for exhaustive runs)\n"
-      "               [--report FILE] machine-readable run report (JSON)\n"
-      "               [--trace-out FILE] Chrome trace of the pipeline\n"
-      "               [--progress[=MS]] heartbeat on stderr (default 1000)\n"
-      "               [--sync-budget K] override the shared-sync pool\n"
-      "               (docs/multiprocessor.md); multi-processor specs\n"
-      "               print one table per core plus the bus timeline\n"
-      "  explain      verdict provenance (docs/explain.md): analytic\n"
-      "               certificates, per-task/per-resource blame, 1-minimal\n"
-      "               infeasible culprit sets, sync-budget lower bound and\n"
-      "               WCET slack; exit code mirrors the verdict\n"
-      "               [--no-minimize] skip the culprit/slack re-runs\n"
-      "               [--sync-cap K] bound for the budget search (default "
-      "64)\n"
-      "               [--report FILE] schema-v5 JSON, byte-deterministic\n"
-      "               (accepts all `schedule` search options)\n"
-      "  codegen      emit the scheduled C program  -o DIR\n"
-      "               [--target host-sim|bare-metal] [--mcu "
-      "generic|8051|arm9|m68k|x86]\n"
-      "               [--timer-hz N]\n"
-      "  export-pnml  write the composed time Petri net  [-o FILE]\n"
-      "  export-dot   Graphviz rendering of the net  [-o FILE] "
-      "[--priorities]\n"
-      "  simulate     run the dispatcher simulation, metrics and Gantt\n"
-      "               [--cycles N] also checks steady-state repetition\n"
-      "               [--trace-out FILE] Chrome trace (virtual-time track)\n"
-      "  workload     generate a random task set  [-o FILE] [--tasks N]\n"
-      "               [--utilization U] [--seed S] [--preemptive F]\n"
-      "               [--precedence N] [--exclusion N]\n"
-      "               [--processors P] [--placement partitioned|global]\n"
-      "               [--messages N] cross-core channels [--sync-budget K]\n"
-      "  baseline     compare on-line EDF/DM/RM/NP-EDF on the same tasks\n"
-      "  replay       audit a stored firing schedule: replay <spec> "
-      "<trace>\n"
-      "  reach        bounded reachability / property check "
-      "[--max-states N]\n"
-      "               [--wall-limit MS] [--mem-limit BYTES[k|m|g]]\n"
-      "               [--report FILE] run report with a \"reachability\"\n"
-      "               section [--trace-out FILE] [--progress[=MS]]\n"
-      "  robust       fault-injection campaign over the synthesized "
-      "schedule\n"
-      "               [--faults SPEC] e.g. wcet:0.3,drift:0.2,burst:0.1,"
-      "fail:0.1\n"
-      "               [--intensities LIST] scale sweep (default "
-      "0.25,0.5,1,2,4)\n"
-      "               [--trials N] trials per intensity (default 3)\n"
-      "               [--seed S] deterministic fault materialization\n"
-      "               [--policies LIST] abort,skip-instance,"
-      "retry-next-slot,fallback-online\n"
-      "               [--report FILE] resilience report (JSON) "
-      "[--trace-out FILE]\n"
-      "               [--progress[=MS]] heartbeat for the synthesis phase\n"
-      "  serve        scheduling-as-a-service socket server "
-      "(docs/serve.md):\n"
-      "               length-prefixed JSON frames, content-addressed\n"
-      "               schedule cache with single-flight dedup, deadline-\n"
-      "               aware admission control, graceful degradation\n"
-      "               [--socket unix:PATH|tcp:HOST:PORT] (default\n"
-      "               tcp:127.0.0.1:7420; tcp:HOST:0 picks a free port)\n"
-      "               [--workers N] [--queue-depth N] [--cache-entries N]\n"
-      "               [--budget MS] default per-request budget\n"
-      "               [--degrade-queue N] [--degrade-max-states N]\n"
-      "               [--max-request-bytes BYTES[k|m|g]] frame cap "
-      "(<=64m)\n"
-      "  help         this text\n"
+      "commands:\n";
+  for (const Command& command : kCommands) {
+    help_line(text,
+              "  " + std::string(command.name) + " " + command.operands,
+              command.help);
+  }
+  help_line(text, "  help", "this text");
+  std::uint32_t heading = 0;
+  for (const Option& option : kOptions) {
+    if (option.commands != heading) {
+      heading = option.commands;
+      std::string line = "\noptions of";
+      for (const Command& command : kCommands) {
+        if ((heading & command.bit) != 0) {
+          if (line.size() + command.name.size() > 78) {
+            text += line + "\n";
+            line = " ";
+          }
+          line += " " + std::string(command.name);
+        }
+      }
+      text += line + ":\n";
+    }
+    std::string head = "  --" + std::string(option.name);
+    if (option.value == Value::kOptionalCount) {
+      head += "[=" + option.metavar + "]";
+    } else if (!option.metavar.empty()) {
+      head += " " + option.metavar;
+    }
+    help_line(text, head, option.help);
+  }
+  text +=
       "\n"
       "exit codes: 0 success/feasible, 1 runtime failure, 2 infeasible,\n"
       "            3 state/wall/memory budget hit, 4 invalid input or "
       "usage,\n"
       "            130-family cancelled by signal (130 SIGINT, 143 "
       "SIGTERM)\n";
+  return text;
 }
 
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err, const base::CancelToken* cancel) {
   if (args.empty() || args[0] == "help" || args[0] == "--help") {
     out << usage();
-    return args.empty() ? kInvalidInput : kOk;
+    return args.empty() ? kExitInvalidInput : kExitOk;
   }
-  const std::string& command = args[0];
-  const Args parsed(args, 1);
-  if (command == "info") {
-    return cmd_info(parsed, out, err);
+  for (const Command& command : kCommands) {
+    if (command.name == args[0]) {
+      auto parsed = Args::parse(args, command);
+      if (!parsed.ok()) {
+        return fail(err, parsed.error());
+      }
+      return command.handler(parsed.value(), out, err, cancel);
+    }
   }
-  if (command == "validate") {
-    return cmd_validate(parsed, out, err);
-  }
-  if (command == "schedule") {
-    return cmd_schedule(parsed, out, err, cancel);
-  }
-  if (command == "explain") {
-    return cmd_explain(parsed, out, err, cancel);
-  }
-  if (command == "codegen") {
-    return cmd_codegen(parsed, out, err);
-  }
-  if (command == "export-pnml") {
-    return cmd_export_pnml(parsed, out, err);
-  }
-  if (command == "export-dot") {
-    return cmd_export_dot(parsed, out, err);
-  }
-  if (command == "simulate") {
-    return cmd_simulate(parsed, out, err);
-  }
-  if (command == "baseline") {
-    return cmd_baseline(parsed, out, err);
-  }
-  if (command == "workload") {
-    return cmd_workload(parsed, out, err);
-  }
-  if (command == "replay") {
-    return cmd_replay(parsed, out, err);
-  }
-  if (command == "reach") {
-    return cmd_reach(parsed, out, err, cancel);
-  }
-  if (command == "robust") {
-    return cmd_robust(parsed, out, err, cancel);
-  }
-  if (command == "serve") {
-    return cmd_serve(parsed, out, err, cancel);
-  }
-  err << "error: unknown command '" << command << "'\n" << usage();
-  return kInvalidInput;
+  err << "error: unknown command '" << args[0] << "'\n" << usage();
+  return kExitInvalidInput;
 }
 
 }  // namespace ezrt::cli

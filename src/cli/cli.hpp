@@ -1,17 +1,9 @@
 // The ezrt command-line tool.
 //
 // The paper presents ezRealtime as a *tool*; this is its command-line
-// incarnation, driving the whole pipeline from ez-spec documents:
-//
-//   ezrt info      <spec.xml>             derived quantities
-//   ezrt validate  <spec.xml>             metamodel validation
-//   ezrt schedule  <spec.xml> [options]   synthesize + print the table
-//   ezrt codegen   <spec.xml> -o DIR      emit the scheduled C program
-//   ezrt export-pnml <spec.xml> [-o FILE] ISO 15909-2 interchange
-//   ezrt simulate  <spec.xml>             dispatcher run + metrics + Gantt
-//   ezrt baseline  <spec.xml>             on-line EDF/DM/RM comparison
-//   ezrt replay    <spec.xml> TRACE       audit a stored firing schedule
-//   ezrt reach     <spec.xml>             bounded property checking
+// incarnation, driving the whole pipeline from ez-spec documents. The
+// commands and their options are two static tables in cli.cpp: parsing is
+// checked against them, and `ezrt help` prints them.
 //
 // The entry point takes argv and streams so tests can drive it without a
 // process boundary; tools/ezrt.cpp is the thin main().

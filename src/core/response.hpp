@@ -3,7 +3,7 @@
 //
 // `ezrt serve` answers every request with one JSON document: a small
 // envelope (status, CLI-equivalent code, cache/degradation provenance,
-// queue/service timing) wrapping the existing run report (schema v5) for
+// queue/service timing) wrapping the existing run report (core::kRunReportVersion) for
 // completed searches. The envelope lives next to run_report so the two
 // schemas evolve together, and so the exit-code mapping — which scripts
 // branch on for the CLI and which the envelope mirrors in its "code"
@@ -73,7 +73,7 @@ struct ServeResponseInfo {
 };
 
 /// Serializes the envelope; `report_json` (optional) is the embedded
-/// schema-v5 run report for completed searches, `stats_json` (optional)
+/// run report for completed searches, `stats_json` (optional)
 /// the server-stats object for `stats` operations. Both are pre-rendered
 /// JSON spliced verbatim.
 [[nodiscard]] std::string serve_response_json(

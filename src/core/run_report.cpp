@@ -274,7 +274,7 @@ std::string run_report_json(Project& project, const obs::Tracer* tracer,
   // (wall-clock fields zeroed, stages/telemetry omitted, counters empty).
   // v6: the beam engine is gone — options lose beam_width/widen, the
   // search counters lose beam_dropped, search_engine is dfs|bestfirst.
-  w.member("version", 6);
+  w.member("version", kRunReportVersion);
   write_model(w, project);
   write_options(w, project.scheduler_options());
 

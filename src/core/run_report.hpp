@@ -24,6 +24,10 @@ struct ReachabilityResult;
 
 namespace ezrt::core {
 
+/// The run report's "version" field (docs/schemas/report.schema.json);
+/// `ezrt help` names it too.
+inline constexpr int kRunReportVersion = 6;
+
 /// Optional v5 sections and emission modes.
 struct RunReportExtras {
   /// Verdict provenance (`ezrt explain`, docs/explain.md): emitted as the

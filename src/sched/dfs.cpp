@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -70,26 +71,97 @@ const char* to_string(SearchStatus status) {
   return "unknown";
 }
 
-const char* to_string(SearchEngine engine) {
-  switch (engine) {
-    case SearchEngine::kDfs:
-      return "dfs";
-    case SearchEngine::kBestFirst:
-      return "bestfirst";
+namespace {
+
+/// One spelling per option value: to_string prints it, parse_* reads it.
+template <typename Enum>
+struct Spelling {
+  const char* name;
+  Enum value;
+};
+
+constexpr Spelling<SearchEngine> kEngineSpellings[] = {
+    {"dfs", SearchEngine::kDfs},
+    {"bestfirst", SearchEngine::kBestFirst},
+};
+constexpr Spelling<StateClassMode> kClassModeSpellings[] = {
+    {"auto", StateClassMode::kAuto},
+    {"on", StateClassMode::kOn},
+    {"off", StateClassMode::kOff},
+};
+constexpr Spelling<Objective> kObjectiveSpellings[] = {
+    {"makespan", Objective::kMinimizeMakespan},
+    {"switches", Objective::kMinimizeSwitches},
+};
+
+template <typename Enum, std::size_t N>
+const char* spelling_of(Enum value, const Spelling<Enum> (&spellings)[N]) {
+  for (const Spelling<Enum>& s : spellings) {
+    if (s.value == value) {
+      return s.name;
+    }
   }
   return "unknown";
 }
 
-const char* to_string(StateClassMode mode) {
-  switch (mode) {
-    case StateClassMode::kAuto:
-      return "auto";
-    case StateClassMode::kOn:
-      return "on";
-    case StateClassMode::kOff:
-      return "off";
+template <typename Enum, std::size_t N>
+std::string joined(const Spelling<Enum> (&spellings)[N]) {
+  std::string out;
+  for (const Spelling<Enum>& s : spellings) {
+    out += out.empty() ? "" : "|";
+    out += s.name;
   }
-  return "unknown";
+  return out;
+}
+
+template <typename Enum, std::size_t N>
+Result<Enum> parse_spelling(std::string_view text,
+                            const Spelling<Enum> (&spellings)[N]) {
+  for (const Spelling<Enum>& s : spellings) {
+    if (text == s.name) {
+      return s.value;
+    }
+  }
+  return make_error(ErrorCode::kInvalidArgument,
+                    "expects " + joined(spellings) + ", got '" +
+                        std::string(text) + "'");
+}
+
+}  // namespace
+
+const char* to_string(SearchEngine engine) {
+  return spelling_of(engine, kEngineSpellings);
+}
+
+const char* to_string(StateClassMode mode) {
+  return spelling_of(mode, kClassModeSpellings);
+}
+
+std::string search_engine_choices() { return joined(kEngineSpellings); }
+
+std::string state_class_mode_choices() {
+  return joined(kClassModeSpellings);
+}
+
+std::string objective_choices() { return joined(kObjectiveSpellings); }
+
+Result<SearchEngine> parse_search_engine(std::string_view text) {
+  return parse_spelling(text, kEngineSpellings);
+}
+
+Result<StateClassMode> parse_state_class_mode(std::string_view text) {
+  return parse_spelling(text, kClassModeSpellings);
+}
+
+Result<Objective> parse_objective(std::string_view text) {
+  return parse_spelling(text, kObjectiveSpellings);
+}
+
+void set_objective(SchedulerOptions& options, Objective objective) {
+  options.objective = objective;
+  if (objective != Objective::kFirstFeasible) {
+    options.pruning = PruningMode::kNone;
+  }
 }
 
 bool state_classes_enabled(const SchedulerOptions& options) {

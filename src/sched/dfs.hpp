@@ -22,6 +22,8 @@
 
 #include <chrono>
 #include <functional>
+#include <string>
+#include <string_view>
 
 #include "base/result.hpp"
 #include "sched/attribution.hpp"
@@ -104,6 +106,12 @@ enum class Objective : std::uint8_t {
                          ///< time on the target
 };
 
+/// Largest SchedulerOptions::threads the parallel engine accepts: each
+/// worker needs a slot in the visited set's growth margin (the
+/// static_assert in sched/parallel.cpp ties the two). The CLI and the
+/// serve envelope reject larger counts as invalid input.
+inline constexpr std::uint32_t kMaxThreads = 308;
+
 struct SchedulerOptions {
   PruningMode pruning = PruningMode::kPriorityFilter;
   FiringTimePolicy firing_times = FiringTimePolicy::kEarliest;
@@ -151,7 +159,8 @@ struct SchedulerOptions {
   /// visited set. 0 = the serial engine, preserving today's exploration
   /// order, trace and statistics bit-for-bit. Parallel search applies to
   /// the kFirstFeasible objective only; the optimizing (branch-and-bound)
-  /// objectives always run serially regardless of this setting.
+  /// objectives always run serially regardless of this setting. At most
+  /// kMaxThreads.
   std::uint32_t threads = 0;
   /// Fix the outcome across thread counts. A parallel kInfeasible verdict
   /// is order-independent by construction (the pruned successor graph was
@@ -199,6 +208,23 @@ enum class SearchStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(SearchStatus status);
 [[nodiscard]] const char* to_string(SearchEngine engine);
 [[nodiscard]] const char* to_string(StateClassMode mode);
+
+/// The option spellings shared by the CLI (`--engine`, `--state-classes`,
+/// `--optimize`) and the serve request envelope: the inverse of to_string
+/// for engines and class modes, and makespan|switches for the optimizing
+/// objectives. Anything else is kInvalidArgument listing the choices.
+[[nodiscard]] Result<SearchEngine> parse_search_engine(std::string_view text);
+[[nodiscard]] Result<StateClassMode> parse_state_class_mode(
+    std::string_view text);
+[[nodiscard]] Result<Objective> parse_objective(std::string_view text);
+/// The accepted spellings joined by '|' ("dfs|bestfirst"), for help texts.
+[[nodiscard]] std::string search_engine_choices();
+[[nodiscard]] std::string state_class_mode_choices();
+[[nodiscard]] std::string objective_choices();
+
+/// Sets the objective. Optimizing objectives explore exhaustively, so any
+/// objective but kFirstFeasible also selects PruningMode::kNone.
+void set_objective(SchedulerOptions& options, Objective objective);
 
 /// Resolves StateClassMode against the rest of the options: what kAuto
 /// defaults to, and the objective gate for kOn. Exposed so the run report

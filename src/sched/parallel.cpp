@@ -48,6 +48,12 @@ struct Frame {
   std::uint32_t events = 0;  ///< local_path events this frame contributed
 };
 
+// Every accepted thread count fits the growth margin LockFreeDigestTable
+// checks at construction (max_threads < 0.3 * slots + 1).
+static_assert(10 * std::size_t{kMaxThreads} <
+                  3 * CasVisitedSet::kInitialSlots + 10,
+              "kMaxThreads exceeds the visited set's growth margin");
+
 /// Everything the workers share. Work moves through per-worker Chase-Lev
 /// deques with steal-half (sched/work_stealing.hpp) and the visited set is
 /// the lock-free CAS table (sched/visited_set.hpp) — the termination

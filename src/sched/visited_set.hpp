@@ -44,6 +44,8 @@ inline namespace EZRT_LOCKFREE_NS {
 
 class CasVisitedSet {
  public:
+  static constexpr std::size_t kInitialSlots = 1024;  // 16 KiB/shard
+
   /// `shard_count` is rounded up to a power of two (minimum 1).
   /// `max_threads` bounds the `tid` values passed to insert (it sizes each
   /// table's epoch announce array).
@@ -173,8 +175,6 @@ class CasVisitedSet {
   }
 
  private:
-  static constexpr std::size_t kInitialSlots = 1024;  // 16 KiB/shard
-
   struct Shard {
     Shard(std::size_t slots, std::uint32_t max_threads)
         : table(slots, max_threads) {}

@@ -1,5 +1,7 @@
 #include "serve/request.hpp"
 
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "pnml/ezspec_io.hpp"
@@ -7,86 +9,110 @@
 namespace ezrt::serve {
 namespace {
 
-Result<std::uint64_t> require_uint(const JsonValue& v, const char* name) {
+Error option_error(std::string_view name, const std::string& what) {
+  return make_error(ErrorCode::kInvalidArgument,
+                    "request option '" + std::string(name) + "' " + what);
+}
+
+Result<std::uint64_t> require_uint(
+    const JsonValue& v, std::string_view name,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (v.kind != JsonValue::Kind::kNumber || !v.is_uint) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      std::string("request option '") + name +
-                          "' must be a non-negative integer");
+    return option_error(name, "must be a non-negative integer");
+  }
+  if (v.uint_value > max) {
+    return option_error(name, "must be at most " + std::to_string(max));
   }
   return v.uint_value;
 }
 
-Result<bool> require_bool(const JsonValue& v, const char* name) {
+Result<bool> require_bool(const JsonValue& v, std::string_view name) {
   if (v.kind != JsonValue::Kind::kBool) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      std::string("request option '") + name +
-                          "' must be a boolean");
+    return option_error(name, "must be a boolean");
   }
   return v.boolean;
 }
 
-Status parse_options(const JsonValue& options, ServeRequest& out) {
-  if (!options.is_object()) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "request 'options' must be an object");
+/// A string option read through one of the sched option spellings.
+template <typename Enum>
+Result<Enum> require_spelling(const JsonValue& v, std::string_view name,
+                              Result<Enum> (*parse)(std::string_view)) {
+  if (!v.is_string()) {
+    return option_error(name, "must be a string");
   }
-  for (const auto& [name, value] : options.object) {
-    if (name == "complete") {
-      auto v = require_bool(value, "complete");
-      if (!v.ok()) return v.error();
-      out.complete = v.value();
-    } else if (name == "optimize") {
-      if (!value.is_string() ||
-          (value.string != "makespan" && value.string != "switches")) {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'optimize' expects makespan|switches");
-      }
-      out.optimize = value.string;
-      out.complete = true;  // optimizing objectives imply complete (CLI rule)
-    } else if (name == "engine") {
-      if (value.is_string() && value.string == "dfs") {
-        out.engine = sched::SearchEngine::kDfs;
-      } else if (value.is_string() && value.string == "bestfirst") {
-        out.engine = sched::SearchEngine::kBestFirst;
-      } else {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'engine' expects dfs|bestfirst");
-      }
-    } else if (name == "state_classes") {
-      if (value.is_string() && value.string == "auto") {
-        out.state_classes = sched::StateClassMode::kAuto;
-      } else if (value.is_string() && value.string == "on") {
-        out.state_classes = sched::StateClassMode::kOn;
-      } else if (value.is_string() && value.string == "off") {
-        out.state_classes = sched::StateClassMode::kOff;
-      } else {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "option 'state_classes' expects auto|on|off");
-      }
-    } else if (name == "max_states") {
-      auto v = require_uint(value, "max_states");
-      if (!v.ok()) return v.error();
-      out.max_states = v.value();
-    } else if (name == "threads") {
-      auto v = require_uint(value, "threads");
-      if (!v.ok()) return v.error();
-      out.threads = static_cast<std::uint32_t>(v.value());
-    } else if (name == "paper_blocks") {
-      auto v = require_bool(value, "paper_blocks");
-      if (!v.ok()) return v.error();
-      out.paper_blocks = v.value();
-    } else if (name == "sync_budget") {
-      auto v = require_uint(value, "sync_budget");
-      if (!v.ok()) return v.error();
-      out.has_sync_budget = true;
-      out.sync_budget = static_cast<std::uint32_t>(v.value());
-    } else {
-      // Strict: silently ignoring a typo'd limit would run unbudgeted.
-      return make_error(ErrorCode::kInvalidArgument,
-                        "unknown request option '" + name + "'");
-    }
+  auto parsed = parse(v.string);
+  if (!parsed.ok()) {
+    return option_error(name, parsed.error().message());
   }
+  return parsed;
+}
+
+template <typename T, typename Field>
+Status assign(Result<T> parsed, Field& field) {
+  if (!parsed.ok()) {
+    return parsed.error();
+  }
+  field = static_cast<Field>(parsed.value());
   return {};
+}
+
+Status parse_option(const std::string& name, const JsonValue& value,
+                    ServeRequest& out) {
+  if (name == "complete") {
+    return assign(require_bool(value, name), out.complete);
+  }
+  if (name == "optimize") {
+    return assign(require_spelling(value, name, sched::parse_objective),
+                  out.optimize);
+  }
+  if (name == "engine") {
+    return assign(require_spelling(value, name, sched::parse_search_engine),
+                  out.engine);
+  }
+  if (name == "state_classes") {
+    return assign(
+        require_spelling(value, name, sched::parse_state_class_mode),
+        out.state_classes);
+  }
+  if (name == "max_states") {
+    return assign(require_uint(value, name), out.max_states);
+  }
+  if (name == "threads") {
+    return assign(require_uint(value, name, sched::kMaxThreads),
+                  out.threads);
+  }
+  if (name == "paper_blocks") {
+    return assign(require_bool(value, name), out.paper_blocks);
+  }
+  if (name == "sync_budget") {
+    out.has_sync_budget = true;
+    return assign(require_uint(value, name,
+                               std::numeric_limits<std::uint32_t>::max()),
+                  out.sync_budget);
+  }
+  // Strict: silently ignoring a typo'd limit would run unbudgeted.
+  return make_error(ErrorCode::kInvalidArgument,
+                    "unknown request option '" + name + "'");
+}
+
+/// The engine options a request asks for; also what its digest covers.
+sched::SchedulerOptions scheduler_options(const ServeRequest& r) {
+  sched::SchedulerOptions s;
+  if (r.complete) {
+    s.pruning = sched::PruningMode::kNone;
+  }
+  sched::set_objective(s, r.optimize);
+  s.search_engine = r.engine;
+  s.state_classes = r.state_classes;
+  s.max_states = r.max_states;
+  s.threads = r.threads;
+  // Thread-count verdict determinism is non-negotiable for a cache keyed
+  // on (spec, options): without it, which of kFeasible/kLimitReached wins
+  // a bounded parallel race would be frozen into the cache.
+  if (s.threads > 0) {
+    s.deterministic = true;
+  }
+  return s;
 }
 
 }  // namespace
@@ -129,8 +155,14 @@ Result<ServeRequest> parse_request(const JsonValue& root) {
     out.budget_ms = v.value();
   }
   if (const JsonValue* options = root.find("options"); options != nullptr) {
-    if (auto status = parse_options(*options, out); !status.ok()) {
-      return status.error();
+    if (!options->is_object()) {
+      return make_error(ErrorCode::kInvalidArgument,
+                        "request 'options' must be an object");
+    }
+    for (const auto& [name, value] : options->object) {
+      if (auto status = parse_option(name, value, out); !status.ok()) {
+        return status.error();
+      }
     }
   }
   if (out.op == "schedule") {
@@ -149,19 +181,14 @@ std::vector<std::uint64_t> option_fingerprint(const ServeRequest& r) {
   // One word per verdict-relevant knob, position-tagged by the fixed
   // order below. budget_ms and id are deliberately absent: they shape
   // admission, not the result.
-  std::uint64_t objective = 0;
-  if (r.optimize == "makespan") {
-    objective = 1;
-  } else if (r.optimize == "switches") {
-    objective = 2;
-  }
+  const sched::SchedulerOptions s = scheduler_options(r);
   return {
-      r.complete ? 1u : 0u,
-      objective,
-      static_cast<std::uint64_t>(r.engine),
-      static_cast<std::uint64_t>(r.state_classes),
-      r.max_states,
-      r.threads,
+      s.pruning == sched::PruningMode::kNone ? 1u : 0u,
+      static_cast<std::uint64_t>(s.objective),
+      static_cast<std::uint64_t>(s.search_engine),
+      static_cast<std::uint64_t>(s.state_classes),
+      s.max_states,
+      s.threads,
       r.paper_blocks ? 1u : 0u,
       r.has_sync_budget ? 1u : 0u,
       r.sync_budget,
@@ -181,32 +208,13 @@ Result<PreparedRequest> prepare_request(const ServeRequest& r) {
   if (r.paper_blocks) {
     out.build.style = builder::BlockStyle::kPaper;
   }
-  sched::SchedulerOptions& s = out.scheduler;
-  if (r.complete) {
-    s.pruning = sched::PruningMode::kNone;
-  }
-  if (r.optimize == "makespan") {
-    s.objective = sched::Objective::kMinimizeMakespan;
-  } else if (r.optimize == "switches") {
-    s.objective = sched::Objective::kMinimizeSwitches;
-  }
-  s.search_engine = r.engine;
-  s.state_classes = r.state_classes;
-  s.max_states = r.max_states;
-  s.threads = r.threads;
-  // Thread-count verdict determinism is non-negotiable for a cache keyed
-  // on (spec, options): without it, which of kFeasible/kLimitReached wins
-  // a bounded parallel race would be frozen into the cache.
-  if (s.threads > 0) {
-    s.deterministic = true;
-  }
+  out.scheduler = scheduler_options(r);
   auto canonical = pnml::write_ezspec(out.specification);
   if (!canonical.ok()) {
     return canonical.error();
   }
   out.canonical_spec = std::move(canonical).value();
-  const std::vector<std::uint64_t> fingerprint = option_fingerprint(r);
-  out.digest = compute_digest(out.canonical_spec, fingerprint);
+  out.digest = compute_digest(out.canonical_spec, option_fingerprint(r));
   return out;
 }
 

@@ -32,13 +32,14 @@ struct ServeRequest {
   /// 0 = use the server default.
   std::uint64_t budget_ms = 0;
 
-  // Verdict-relevant search options (mirrors the CLI surface).
+  // Verdict-relevant search options (mirrors the CLI surface, with the
+  // value spellings of sched::parse_*). `optimize` implies complete.
   bool complete = false;
-  std::string optimize;  ///< "", "makespan", "switches"
+  sched::Objective optimize = sched::Objective::kFirstFeasible;
   sched::SearchEngine engine = sched::SearchEngine::kDfs;
   sched::StateClassMode state_classes = sched::StateClassMode::kAuto;
   std::uint64_t max_states = sched::SchedulerOptions{}.max_states;
-  std::uint32_t threads = 0;
+  std::uint32_t threads = 0;  ///< at most sched::kMaxThreads
   bool paper_blocks = false;
   bool has_sync_budget = false;
   std::uint32_t sync_budget = 0;
@@ -47,7 +48,7 @@ struct ServeRequest {
   /// first-feasible search, which is exactly the shape whose cost the
   /// bestfirst+classes downgrade collapses.
   [[nodiscard]] bool exhaustive() const {
-    return complete && optimize.empty() &&
+    return complete && optimize == sched::Objective::kFirstFeasible &&
            engine == sched::SearchEngine::kDfs;
   }
 };

@@ -10,6 +10,7 @@
 #include "cli/cli.hpp"
 #include "obs/telemetry.hpp"
 #include "pnml/ezspec_io.hpp"
+#include "sched/dfs.hpp"
 #include "workload/generator.hpp"
 
 namespace ezrt::cli {
@@ -244,6 +245,7 @@ TEST_F(CliTest, WorkloadToStdout) {
 
 TEST_F(CliTest, WorkloadRejectsBadUtilization) {
   EXPECT_EQ(run_cli({"workload", "--utilization", "abc"}), 4);
+  EXPECT_EQ(run_cli({"workload", "--utilization", "0.5abc"}), 4);
 }
 
 TEST_F(CliTest, SimulateCyclesChecksSteadyState) {
@@ -433,6 +435,8 @@ TEST_F(CliTest, ScheduleCancelledExitCode) {
 TEST_F(CliTest, ScheduleRejectsBadLimitFlags) {
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--wall-limit", "abc"}), 4);
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--mem-limit", "12q"}), 4);
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--mem-limit", "99999999999g"}),
+            4);
 }
 
 TEST_F(CliTest, RobustRunsCampaignAndWritesReport) {
@@ -523,6 +527,69 @@ TEST_F(CliTest, UavDualProcessorEndToEnd) {
       run_cli({"schedule", path, "--complete", "--sync-budget", "2"}), 0);
   EXPECT_EQ(
       run_cli({"schedule", path, "--complete", "--sync-budget", "1"}), 2);
+}
+
+// -- Strict option parsing: every flag comes from one table ------------------
+
+TEST_F(CliTest, MisspelledLimitIsRejectedNotIgnored) {
+  // A typo'd limit must not run unbudgeted with "10" as a stray operand.
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--max-state", "10"}), 4);
+  EXPECT_NE(err_.str().find("'--max-state'"), std::string::npos);
+  EXPECT_EQ(out_.str(), "");
+}
+
+TEST_F(CliTest, UnknownOptionIsRejected) {
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--bogus"}), 4);
+  EXPECT_NE(err_.str().find("'--bogus'"), std::string::npos);
+}
+
+TEST_F(CliTest, OptionOfAnotherCommandIsRejected) {
+  EXPECT_EQ(run_cli({"validate", spec_path_, "--threads", "4"}), 4);
+  EXPECT_NE(err_.str().find("'--threads' does not apply to 'validate'"),
+            std::string::npos);
+  EXPECT_EQ(run_cli({"info", spec_path_, "--report", "x.json"}), 4);
+}
+
+TEST_F(CliTest, ExtraOperandIsRejected) {
+  // --progress takes its interval only as --progress=MS, so "500" is an
+  // operand that schedule does not have.
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--progress", "500"}), 4);
+  EXPECT_NE(err_.str().find("'500'"), std::string::npos);
+  EXPECT_EQ(run_cli({"replay", spec_path_}), 4);
+}
+
+TEST_F(CliTest, NumberTooWideForItsFieldIsRejected) {
+  // 2^32 + 1 must not wrap to K = 1, which would flip the UAV verdict.
+  const std::string path = (dir_ / "uav.ezspec").string();
+  std::ofstream(path)
+      << pnml::write_ezspec(workload::uav_autopilot_specification())
+             .value();
+  EXPECT_EQ(run_cli({"schedule", path, "--complete", "--sync-budget",
+                     "4294967297"}),
+            4);
+  EXPECT_NE(err_.str().find("--sync-budget"), std::string::npos);
+  EXPECT_EQ(run_cli({"workload", "--tasks", "4294967297"}), 4);
+  EXPECT_NE(err_.str().find("--tasks"), std::string::npos);
+}
+
+TEST_F(CliTest, ThreadCountAboveTheCapIsRejected) {
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--threads",
+                     std::to_string(sched::kMaxThreads + 1)}),
+            4);
+  EXPECT_NE(err_.str().find("--threads"), std::string::npos);
+}
+
+TEST_F(CliTest, HelpNamesTheRunReportVersion) {
+  const std::string report = (dir_ / "version.json").string();
+  ASSERT_EQ(run_cli({"schedule", spec_path_, "--report", report}), 0);
+  const std::string json = read_file(report);
+  const std::size_t at = json.find("\"version\":");
+  ASSERT_NE(at, std::string::npos);
+  const std::string version =
+      json.substr(at + 10, json.find(',', at) - (at + 10));
+  ASSERT_EQ(run_cli({"help"}), 0);
+  EXPECT_NE(out_.str().find("schema-v" + version + " "), std::string::npos)
+      << version;
 }
 
 }  // namespace

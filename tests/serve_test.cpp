@@ -111,7 +111,7 @@ TEST(Digest, EveryOptionKnobMovesTheFingerprint) {
   const auto baseline = option_fingerprint(base);
   std::vector<ServeRequest> variants(7, base);
   variants[0].complete = true;
-  variants[1].optimize = "makespan";
+  variants[1].optimize = sched::Objective::kMinimizeMakespan;
   variants[2].engine = sched::SearchEngine::kBestFirst;
   variants[3].state_classes = sched::StateClassMode::kOff;
   variants[4].max_states = base.max_states + 1;
@@ -265,6 +265,11 @@ TEST(Request, RejectsUnknownOptionsAndBadShapes) {
   must_fail(R"({"op":"schedule","spec":"x","options":{"widen":true}})");
   must_fail(
       R"({"op":"schedule","spec":"x","options":{"max_states":-1}})");
+  // Integers must fit their field: one past sched::kMaxThreads, and
+  // 2^32 + 1 for the 32-bit sync budget (which must not wrap to K = 1).
+  must_fail(R"({"op":"schedule","spec":"x","options":{"threads":309}})");
+  must_fail(
+      R"({"op":"schedule","spec":"x","options":{"sync_budget":4294967297}})");
 }
 
 // ------------------------------------------------------------ socket e2e
@@ -431,6 +436,37 @@ TEST_F(ServeTest, PingStatsAndInvalidPayloads) {
 
   server.shutdown();
   server.wait();
+}
+
+TEST_F(ServeTest, ThreadCountAboveTheCapIsInvalidAndTheServerSurvives) {
+  // The visited set cannot host more than sched::kMaxThreads workers; the
+  // request must be refused before any search starts, not abort the
+  // server.
+  ServerOptions options;
+  options.endpoint = endpoint("threads");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  obs::JsonWriter w;
+  w.begin_object();
+  w.member("op", "schedule");
+  w.key("options");
+  w.begin_object();
+  w.member("threads", std::uint64_t{sched::kMaxThreads} + 1);
+  w.end_object();
+  w.member("spec", mine_pump_);
+  w.end_object();
+  const JsonValue rejected = roundtrip(server.endpoint(), w.take());
+  EXPECT_EQ(rejected.find("status")->string, "invalid");
+  EXPECT_EQ(rejected.find("code")->uint_value, 4u);
+  EXPECT_EQ(roundtrip(server.endpoint(), R"({"op":"stats"})")
+                .find("status")
+                ->string,
+            "ok");
+
+  server.shutdown();
+  server.wait();
+  EXPECT_EQ(server.stats().invalid, 1u);
 }
 
 TEST_F(ServeTest, OversizedFrameIsRejectedWithExitCode4Equivalent) {
