@@ -8,6 +8,7 @@
 // bounded intervals, but the TPN core supports both.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -67,5 +68,27 @@ class TimeInterval {
 };
 
 std::ostream& operator<<(std::ostream& os, const TimeInterval& interval);
+
+/// Wall-clock deadline `t0 + ms` on the steady clock, clamped to
+/// time_point::max(). The clock counts signed 64-bit nanoseconds, so a
+/// budget beyond ~292 years would wrap to a deadline in the past; a budget
+/// too large to represent means "no ceiling" instead.
+[[nodiscard]] inline std::chrono::steady_clock::time_point saturating_deadline(
+    std::chrono::steady_clock::time_point t0, std::uint64_t ms) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kMaxMs =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::duration::max())
+          .count();
+  if (ms > static_cast<std::uint64_t>(kMaxMs)) {
+    return Clock::time_point::max();
+  }
+  const auto span = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::milliseconds(static_cast<std::int64_t>(ms)));
+  if (t0 > Clock::time_point::max() - span) {
+    return Clock::time_point::max();
+  }
+  return t0 + span;
+}
 
 }  // namespace ezrt

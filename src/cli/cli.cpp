@@ -15,6 +15,7 @@
 #include "base/assert.hpp"
 #include "base/cancel.hpp"
 #include "base/strings.hpp"
+#include "base/time.hpp"
 #include "obs/explain.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -729,8 +730,8 @@ int cmd_explain(const Args& args, std::ostream& out, std::ostream& err,
     // the relative wall limit at its own t0 and `--wall-limit 100` could
     // legally burn 100 ms × probes (docs/robustness.md).
     p.scheduler_options().deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(p.scheduler_options().wall_limit_ms);
+        saturating_deadline(std::chrono::steady_clock::now(),
+                            p.scheduler_options().wall_limit_ms);
   }
 
   obs::ExplainOptions explain_options;

@@ -28,6 +28,7 @@
 #include <optional>
 
 #include "base/cancel.hpp"
+#include "base/time.hpp"
 #include "sched/dfs.hpp"
 #include "tpn/semantics.hpp"
 
@@ -52,7 +53,7 @@ class ResourceGuard {
     // this engine's t0, and the caller-fixed absolute deadline that spans
     // search sequences (SchedulerOptions::deadline). Earlier wins.
     if (options.wall_limit_ms != 0) {
-      deadline_ = t0 + std::chrono::milliseconds(options.wall_limit_ms);
+      deadline_ = saturating_deadline(t0, options.wall_limit_ms);
     }
     if (options.deadline != std::chrono::steady_clock::time_point{} &&
         options.deadline < deadline_) {

@@ -6,6 +6,7 @@
 
 #include "base/assert.hpp"
 #include "base/cancel.hpp"
+#include "base/time.hpp"
 #include "obs/progress.hpp"
 
 namespace ezrt::sched {
@@ -63,8 +64,7 @@ ReachabilityResult explore(const tpn::TimePetriNet& net,
   // the same masking: cancellation each fired transition, wall clock
   // every 256, the memory estimate every 1024.
   const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline =
-      t0 + std::chrono::milliseconds(options.wall_limit_ms);
+  const auto deadline = saturating_deadline(t0, options.wall_limit_ms);
   const std::uint64_t state_bytes =
       64 + net.place_count() * sizeof(std::uint32_t) +
       net.transition_count() * sizeof(Time);

@@ -1,8 +1,25 @@
 #include "serve/cache.hpp"
 
+#include "base/assert.hpp"
 #include "base/hash.hpp"
 
 namespace ezrt::serve {
+namespace {
+
+/// A ticket carrying a copy of a stored (Entry) or handed-over (InFlight)
+/// result.
+template <typename Stored>
+ScheduleCache::Ticket copy_result(ScheduleCache::Role role,
+                                  const Stored& stored) {
+  ScheduleCache::Ticket ticket;
+  ticket.role = role;
+  ticket.report_json = stored.report_json;
+  ticket.exit_code = stored.exit_code;
+  ticket.verdict = stored.verdict;
+  return ticket;
+}
+
+}  // namespace
 
 std::string Digest::hex() const {
   static const char* kDigits = "0123456789abcdef";
@@ -59,12 +76,7 @@ ScheduleCache::Ticket ScheduleCache::acquire(
       if (!waited) {
         ++stats_.hits;
       }
-      Ticket ticket;
-      ticket.role = waited ? Role::kShared : Role::kHit;
-      ticket.report_json = it->second.report_json;
-      ticket.exit_code = it->second.exit_code;
-      ticket.verdict = it->second.verdict;
-      return ticket;
+      return copy_result(waited ? Role::kShared : Role::kHit, it->second);
     }
     auto flight = in_flight_.find(digest);
     if (flight == in_flight_.end()) {
@@ -82,11 +94,7 @@ ScheduleCache::Ticket ScheduleCache::acquire(
         if (!waited) {
           ++stats_.hits;
         }
-        Ticket ticket;
-        ticket.role = waited ? Role::kShared : Role::kHit;
-        ticket.report_json = f.report_json;
-        ticket.exit_code = f.exit_code;
-        ticket.verdict = f.verdict;
+        Ticket ticket = copy_result(waited ? Role::kShared : Role::kHit, f);
         if (f.waiters == 0) {
           in_flight_.erase(flight);
         }
@@ -119,11 +127,7 @@ ScheduleCache::Ticket ScheduleCache::acquire(
       return ticket;
     }
     if (f.published) {
-      Ticket ticket;
-      ticket.role = Role::kShared;
-      ticket.report_json = f.report_json;
-      ticket.exit_code = f.exit_code;
-      ticket.verdict = f.verdict;
+      Ticket ticket = copy_result(Role::kShared, f);
       if (f.waiters == 0) {
         in_flight_.erase(flight);
       }
@@ -149,7 +153,11 @@ void ScheduleCache::publish(const Digest& digest, std::string report_json,
     it->second.exit_code = exit_code;
     it->second.verdict = verdict;
     while (entries_.size() > capacity_) {
-      entries_.erase(lru_.back());
+      auto victim = entries_.find(lru_.back());
+      for (const Digest& raw : victim->second.aliases) {
+        aliases_.erase(raw);
+      }
+      entries_.erase(victim);
       lru_.pop_back();
       ++stats_.evictions;
     }
@@ -182,6 +190,45 @@ void ScheduleCache::abandon(const Digest& digest) {
     }
   }
   resolved_cv_.notify_all();
+}
+
+std::optional<ScheduleCache::Ticket> ScheduleCache::acquire_alias(
+    const Digest& raw) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto alias = aliases_.find(raw);
+  if (alias == aliases_.end()) {
+    return std::nullopt;
+  }
+  auto it = entries_.find(alias->second);
+  EZRT_ASSERT(it != entries_.end(), "an alias outlived its cache entry");
+  touch_locked(it);
+  ++stats_.hits;
+  ++stats_.alias_hits;
+  return copy_result(Role::kHit, it->second);
+}
+
+void ScheduleCache::record_alias(const Digest& raw, const Digest& canonical) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(canonical);
+  if (it == entries_.end()) {
+    return;  // abandoned, evicted, or storage disabled
+  }
+  // raw -> canonical is a function, so a known raw key already names this
+  // entry.
+  if (!aliases_.try_emplace(raw, canonical).second) {
+    return;
+  }
+  std::vector<Digest>& own = it->second.aliases;
+  if (own.size() == kMaxAliasesPerEntry) {
+    aliases_.erase(own.front());
+    own.erase(own.begin());
+  }
+  own.push_back(raw);
+}
+
+std::size_t ScheduleCache::alias_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return aliases_.size();
 }
 
 CacheStats ScheduleCache::stats() const {

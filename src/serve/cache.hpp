@@ -20,6 +20,15 @@
 // kInfeasible reports emitted with RunReportExtras::deterministic), so a
 // cache hit is byte-identical to a fresh run and guard-tripped or
 // degraded verdicts can never poison later requests.
+//
+// Two-level addressing: canonicalizing the spec costs a full parse and
+// re-serialization, most of a hit's work. Beside the canonical entries
+// sits a bounded alias index from a *raw key* (the digest of the request's
+// spec bytes as sent, same option words) to the canonical digest of a
+// resident entry, so a byte-identical resend skips the parse. Aliases live
+// in their entry — at most kMaxAliasesPerEntry each, dropped when LRU
+// evicts it — so the index never holds more than capacity ×
+// kMaxAliasesPerEntry keys and never points at a missing entry.
 #pragma once
 
 #include <chrono>
@@ -27,10 +36,12 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace ezrt::serve {
 
@@ -64,6 +75,7 @@ struct DigestHash {
 /// assertions) and must not vanish under EZRT_NO_TELEMETRY.
 struct CacheStats {
   std::uint64_t hits = 0;
+  std::uint64_t alias_hits = 0;  ///< hits found by raw key; subset of hits
   std::uint64_t misses = 0;      ///< owner admissions (searches started)
   std::uint64_t coalesced = 0;   ///< waiters that joined an in-flight search
   std::uint64_t evictions = 0;   ///< LRU evictions
@@ -111,6 +123,24 @@ class ScheduleCache {
   /// the new owner), so a transient failure never wedges a digest.
   void abandon(const Digest& digest);
 
+  /// Raw keys one entry keeps. Clients resend the bytes they sent before;
+  /// a few distinct formattings of one spec (say, LF and CRLF, compact
+  /// and pretty) is the realistic most, and the cap bounds the index
+  /// against a client that sends endlessly many.
+  static constexpr std::size_t kMaxAliasesPerEntry = 4;
+
+  /// The kHit ticket of the resident entry `raw` is an alias of, or
+  /// nothing. Never waits and never claims ownership.
+  [[nodiscard]] std::optional<Ticket> acquire_alias(const Digest& raw);
+
+  /// Records that `raw` canonicalizes to `canonical`. A no-op unless
+  /// `canonical` is resident, so only published (definitive) results are
+  /// ever aliased; past the per-entry cap the entry's oldest alias goes.
+  void record_alias(const Digest& raw, const Digest& canonical);
+
+  /// Current alias index size (tests assert its bound).
+  [[nodiscard]] std::size_t alias_count() const;
+
   [[nodiscard]] CacheStats stats() const;
 
  private:
@@ -119,6 +149,7 @@ class ScheduleCache {
     int exit_code = 0;
     std::string verdict;
     std::list<Digest>::iterator lru_pos;
+    std::vector<Digest> aliases;  ///< raw keys resolving here, oldest first
   };
 
   struct InFlight {
@@ -138,6 +169,8 @@ class ScheduleCache {
   std::unordered_map<Digest, Entry, DigestHash> entries_;
   std::list<Digest> lru_;  ///< front = most recent
   std::unordered_map<Digest, InFlight, DigestHash> in_flight_;
+  /// raw key -> canonical digest; every value is a key of entries_.
+  std::unordered_map<Digest, Digest, DigestHash> aliases_;
   CacheStats stats_;
 };
 

@@ -76,4 +76,9 @@ struct PreparedRequest {
 [[nodiscard]] std::vector<std::uint64_t> option_fingerprint(
     const ServeRequest& r);
 
+/// The cache's alias key (docs/serve.md §3): the digest of the spec text
+/// exactly as received, with the same option words as the canonical
+/// digest. Costs one pass over the bytes, no parse.
+[[nodiscard]] Digest raw_key(const ServeRequest& r);
+
 }  // namespace ezrt::serve

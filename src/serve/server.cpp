@@ -10,6 +10,7 @@
 #include <future>
 #include <utility>
 
+#include "base/time.hpp"
 #include "core/project.hpp"
 #include "core/response.hpp"
 #include "core/run_report.hpp"
@@ -370,8 +371,36 @@ std::string Server::handle_schedule(ServeRequest request,
                                     Clock::time_point received) {
   const std::uint64_t budget_ms =
       request.budget_ms != 0 ? request.budget_ms : options_.default_budget_ms;
-  const Clock::time_point deadline =
-      received + std::chrono::milliseconds(budget_ms);
+  const Clock::time_point deadline = saturating_deadline(received, budget_ms);
+
+  auto from_cache = [this, &request, received](
+                        const ScheduleCache::Ticket& ticket, bool hit) {
+    core::ServeResponseInfo info;
+    info.id = request.id;
+    info.status = status_for(ticket.exit_code);
+    info.code = ticket.exit_code;
+    info.verdict = ticket.verdict;
+    info.cache = hit ? "hit" : "coalesced";
+    info.queue_ms = ms_between(received, Clock::now());
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.ok;
+    }
+    if (hit) {
+      obs::ServeMetrics::global().cache_hits.add();
+    } else {
+      obs::ServeMetrics::global().coalesced.add();
+    }
+    return core::serve_response_json(info, &ticket.report_json);
+  };
+
+  // Fast path (docs/serve.md §3): a byte-identical resend of a spec whose
+  // result is resident is answered by its raw key, without the parse and
+  // re-serialization that canonicalization costs.
+  const Digest raw = raw_key(request);
+  if (auto ticket = cache_.acquire_alias(raw)) {
+    return from_cache(*ticket, true);
+  }
 
   auto prepared = prepare_request(request);
   if (!prepared.ok()) {
@@ -409,26 +438,9 @@ std::string Server::handle_schedule(ServeRequest request,
     ScheduleCache::Ticket ticket = cache_.acquire(digest, deadline);
     switch (ticket.role) {
       case ScheduleCache::Role::kHit:
-      case ScheduleCache::Role::kShared: {
-        const bool hit = ticket.role == ScheduleCache::Role::kHit;
-        core::ServeResponseInfo info;
-        info.id = request.id;
-        info.status = status_for(ticket.exit_code);
-        info.code = ticket.exit_code;
-        info.verdict = ticket.verdict;
-        info.cache = hit ? "hit" : "coalesced";
-        info.queue_ms = ms_between(received, Clock::now());
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.ok;
-        }
-        if (hit) {
-          obs::ServeMetrics::global().cache_hits.add();
-        } else {
-          obs::ServeMetrics::global().coalesced.add();
-        }
-        return core::serve_response_json(info, &ticket.report_json);
-      }
+      case ScheduleCache::Role::kShared:
+        cache_.record_alias(raw, digest);
+        return from_cache(ticket, ticket.role == ScheduleCache::Role::kHit);
       case ScheduleCache::Role::kTimeout:
         return overloaded(
             "budget of " + std::to_string(budget_ms) +
@@ -476,9 +488,8 @@ std::string Server::handle_schedule(ServeRequest request,
       const double est_wait_ms =
           ewma_service_ms_ *
           (static_cast<double>(queue_.size() + 1) / options_.workers);
-      const auto est_done =
-          job->admitted +
-          std::chrono::milliseconds(static_cast<std::uint64_t>(est_wait_ms));
+      const auto est_done = saturating_deadline(
+          job->admitted, static_cast<std::uint64_t>(est_wait_ms));
       if (est_done > deadline) {
         lock.unlock();
         cache_.abandon(digest);
@@ -500,6 +511,9 @@ std::string Server::handle_schedule(ServeRequest request,
     queue_cv_.notify_one();
 
     Job::Outcome outcome = job->future.get();
+    // The worker has published or abandoned by now; only a published
+    // result takes the alias, so the first resend is already fast.
+    cache_.record_alias(raw, digest);
     if (outcome.shed) {
       return overloaded(outcome.error, 100);
     }
@@ -660,6 +674,7 @@ std::string Server::stats_json() const {
   w.key("cache");
   w.begin_object();
   w.member("hits", s.cache.hits);
+  w.member("alias_hits", s.cache.alias_hits);
   w.member("misses", s.cache.misses);
   w.member("coalesced", s.cache.coalesced);
   w.member("evictions", s.cache.evictions);

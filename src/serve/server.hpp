@@ -6,7 +6,8 @@
 //
 //   accept thread ──► connection threads (≤ max_connections)
 //                        │  read frame → parse JSON → parse request →
-//                        │  canonicalize spec → digest → cache acquire
+//                        │  raw key → alias hit: respond immediately
+//                        │  else canonicalize spec → digest → cache acquire
 //                        │    kHit/kShared: respond immediately
 //                        │    kOwner: admission control → EDF queue
 //                        ▼

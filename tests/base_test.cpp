@@ -106,6 +106,24 @@ TEST(TimeInterval, ToStringFormats) {
   EXPECT_EQ(TimeInterval::at_least(1).to_string(), "[1,inf]");
 }
 
+TEST(SaturatingDeadline, AddsSmallBudgetsAndClampsHugeOnes) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_EQ(saturating_deadline(t0, 0), t0);
+  EXPECT_EQ(saturating_deadline(t0, 1500), t0 + std::chrono::milliseconds(1500));
+  // Past the clock's range in nanoseconds, and past int64 milliseconds.
+  for (const std::uint64_t ms :
+       {std::uint64_t{9223372036854775}, std::uint64_t{9223372036854775807},
+        ~std::uint64_t{0}}) {
+    EXPECT_EQ(saturating_deadline(t0, ms), Clock::time_point::max()) << ms;
+  }
+  // Representable as a span, but not from a late start.
+  EXPECT_EQ(saturating_deadline(Clock::time_point::max() -
+                                    std::chrono::milliseconds(1),
+                                2),
+            Clock::time_point::max());
+}
+
 // -- Result / Status ----------------------------------------------------------
 
 TEST(Result, HoldsValue) {

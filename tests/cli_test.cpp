@@ -439,6 +439,17 @@ TEST_F(CliTest, ScheduleRejectsBadLimitFlags) {
             4);
 }
 
+TEST_F(CliTest, HugeWallLimitMeansNoCeiling) {
+  // 9223372036854775 ms is past the signed 64-bit nanosecond steady clock:
+  // the deadline saturates instead of wrapping into the past, so both the
+  // search and the explanation run to their feasible verdict.
+  const std::string huge = "9223372036854775";
+  EXPECT_EQ(run_cli({"schedule", spec_path_, "--wall-limit", huge}), 0);
+  EXPECT_NE(out_.str().find("feasible schedule"), std::string::npos);
+  EXPECT_EQ(run_cli({"explain", spec_path_, "--wall-limit", huge}), 0);
+  EXPECT_NE(out_.str().find("verdict: feasible"), std::string::npos);
+}
+
 TEST_F(CliTest, RobustRunsCampaignAndWritesReport) {
   const std::string report = (dir_ / "resilience.json").string();
   EXPECT_EQ(run_cli({"robust", spec_path_, "--trials", "1", "--intensities",

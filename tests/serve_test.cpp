@@ -209,6 +209,131 @@ TEST(Cache, WaiterTimesOutWhenOwnerIsSlow) {
   cache.abandon(digest);
 }
 
+TEST(Cache, WaiterWithUnboundedDeadlineWakesOnPublish) {
+  // A saturated request deadline is time_point::max(); the parked waiter
+  // must still wake when the owner publishes.
+  ScheduleCache cache(8);
+  const Digest digest{6, 6};
+  auto owner = cache.acquire(digest, Clock::now() + std::chrono::seconds(5));
+  ASSERT_EQ(owner.role, ScheduleCache::Role::kOwner);
+  std::thread waiter([&] {
+    auto ticket = cache.acquire(digest, Clock::time_point::max());
+    EXPECT_EQ(ticket.role, ScheduleCache::Role::kShared);
+    EXPECT_EQ(ticket.report_json, "late");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cache.publish(digest, "late", 0, "feasible");
+  waiter.join();
+  EXPECT_EQ(cache.stats().coalesced, 1u);
+}
+
+TEST(Cache, AliasHitsAfterPublish) {
+  ScheduleCache cache(4);
+  const Digest canonical{1, 2};
+  const Digest raw{10, 20};
+  EXPECT_FALSE(cache.acquire_alias(raw).has_value());
+  ASSERT_EQ(cache.acquire(canonical, Clock::now() + std::chrono::seconds(5))
+                .role,
+            ScheduleCache::Role::kOwner);
+  cache.publish(canonical, "the-report", 2, "infeasible");
+  cache.record_alias(raw, canonical);
+  const auto ticket = cache.acquire_alias(raw);
+  ASSERT_TRUE(ticket.has_value());
+  EXPECT_EQ(ticket->role, ScheduleCache::Role::kHit);
+  EXPECT_EQ(ticket->report_json, "the-report");
+  EXPECT_EQ(ticket->exit_code, 2);
+  EXPECT_EQ(ticket->verdict, "infeasible");
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.alias_hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(Cache, AliasIsGoneOnceLruEvictsItsEntry) {
+  ScheduleCache cache(1);
+  const Digest d1{1, 1};
+  const Digest d2{2, 2};
+  const Digest raw{11, 11};
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  ASSERT_EQ(cache.acquire(d1, deadline).role, ScheduleCache::Role::kOwner);
+  cache.publish(d1, "one", 0, "feasible");
+  cache.record_alias(raw, d1);
+  ASSERT_TRUE(cache.acquire_alias(raw).has_value());
+  ASSERT_EQ(cache.acquire(d2, deadline).role, ScheduleCache::Role::kOwner);
+  cache.publish(d2, "two", 0, "feasible");  // evicts d1 and its alias
+  EXPECT_FALSE(cache.acquire_alias(raw).has_value());
+  EXPECT_EQ(cache.alias_count(), 0u);
+  // Re-recording against the evicted digest is refused, not dangling.
+  cache.record_alias(raw, d1);
+  EXPECT_FALSE(cache.acquire_alias(raw).has_value());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(Cache, AliasIndexStaysBoundedUnderManyFormattings) {
+  // Two specs, each sent in many whitespace variants: every variant
+  // canonicalizes to its spec's one entry, and the index keeps only the
+  // newest kMaxAliasesPerEntry raw keys per entry.
+  constexpr std::size_t kCapacity = 2;
+  constexpr std::size_t kVariants = 12;
+  const std::size_t cap = ScheduleCache::kMaxAliasesPerEntry;
+  ScheduleCache cache(kCapacity);
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  for (const spec::Specification& model :
+       {workload::mine_pump_specification(),
+        workload::uav_autopilot_specification()}) {
+    ServeRequest request;
+    const std::string text = pnml::write_ezspec(model).value();
+    std::vector<Digest> raws;
+    Digest canonical;
+    for (std::size_t i = 0; i < kVariants; ++i) {
+      request.spec_text = text + std::string(i, ' ');
+      auto prepared = prepare_request(request);
+      ASSERT_TRUE(prepared.ok());
+      if (i == 0) {
+        canonical = prepared.value().digest;
+        ASSERT_EQ(cache.acquire(canonical, deadline).role,
+                  ScheduleCache::Role::kOwner);
+        cache.publish(canonical, "report", 0, "feasible");
+      }
+      ASSERT_EQ(prepared.value().digest, canonical);
+      raws.push_back(raw_key(request));
+      cache.record_alias(raws.back(), canonical);
+      EXPECT_LE(cache.alias_count(), kCapacity * cap);
+    }
+    for (std::size_t i = 0; i < kVariants; ++i) {
+      EXPECT_EQ(cache.acquire_alias(raws[i]).has_value(),
+                i >= kVariants - cap)
+          << i;
+    }
+  }
+  EXPECT_EQ(cache.alias_count(), kCapacity * cap);
+  EXPECT_EQ(cache.stats().entries, kCapacity);
+}
+
+TEST(Cache, AbandonedDigestsTakeNoAlias) {
+  const Digest canonical{3, 4};
+  const Digest raw{30, 40};
+  ScheduleCache cache(4);
+  ASSERT_EQ(cache.acquire(canonical, Clock::now() + std::chrono::seconds(5))
+                .role,
+            ScheduleCache::Role::kOwner);
+  cache.abandon(canonical);
+  cache.record_alias(raw, canonical);
+  EXPECT_FALSE(cache.acquire_alias(raw).has_value());
+  EXPECT_EQ(cache.alias_count(), 0u);
+  // Storage disabled: a published result is handed to waiters only, so
+  // there is no entry to alias either.
+  ScheduleCache unstored(0);
+  ASSERT_EQ(
+      unstored.acquire(canonical, Clock::now() + std::chrono::seconds(5))
+          .role,
+      ScheduleCache::Role::kOwner);
+  unstored.publish(canonical, "report", 0, "feasible");
+  unstored.record_alias(raw, canonical);
+  EXPECT_FALSE(unstored.acquire_alias(raw).has_value());
+  EXPECT_EQ(unstored.alias_count(), 0u);
+}
+
 // --------------------------------------------------------------- envelope
 
 TEST(Envelope, CarriesCodesVerdictAndSplicedReport) {
@@ -318,10 +443,10 @@ class ServeTest : public testing::Test {
     return w.take();
   }
 
-  /// Sends one frame on a fresh connection and returns the parsed
-  /// response.
-  [[nodiscard]] JsonValue roundtrip(const std::string& endpoint,
-                                    const std::string& payload) {
+  /// Sends one frame on a fresh connection and returns the response
+  /// bytes.
+  [[nodiscard]] static std::string roundtrip_bytes(
+      const std::string& endpoint, const std::string& payload) {
     auto fd = connect_endpoint(endpoint);
     EXPECT_TRUE(fd.ok()) << fd.ok();
     EXPECT_TRUE(write_frame(fd.value(), payload).ok());
@@ -329,9 +454,25 @@ class ServeTest : public testing::Test {
     ::close(fd.value());
     EXPECT_TRUE(frame.ok());
     EXPECT_TRUE(frame.value().has_value());
-    auto parsed = parse_json(*frame.value());
+    return *frame.value();
+  }
+
+  /// Sends one frame on a fresh connection and returns the parsed
+  /// response.
+  [[nodiscard]] static JsonValue roundtrip(const std::string& endpoint,
+                                           const std::string& payload) {
+    auto parsed = parse_json(roundtrip_bytes(endpoint, payload));
     EXPECT_TRUE(parsed.ok());
     return std::move(parsed).value();
+  }
+
+  /// The spliced run report of a response, byte for byte (the envelope
+  /// writes it last).
+  [[nodiscard]] static std::string report_bytes(const std::string& response) {
+    const std::size_t at = response.find("\"report\":");
+    return at == std::string::npos
+               ? std::string()
+               : response.substr(at, response.size() - 1 - at);
   }
 
   fs::path dir_;
@@ -702,6 +843,153 @@ TEST_F(ServeTest, ShutdownDrainsInFlightRequests) {
   server.wait();
   // At least the request a worker had picked up must have been answered.
   EXPECT_GE(responded.load(), 1);
+}
+
+TEST_F(ServeTest, ByteIdenticalResendIsAnAliasHitWithTheMissReport) {
+  ServerOptions options;
+  options.endpoint = endpoint("alias");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  const std::string miss =
+      roundtrip_bytes(server.endpoint(), schedule_request(mine_pump_, "a"));
+  ASSERT_EQ(parse_json(miss).value().find("cache")->string, "miss");
+  // The owner recorded the alias before answering, so the very first
+  // resend takes the fast path.
+  for (const char* id : {"b", "c"}) {
+    const std::string hit =
+        roundtrip_bytes(server.endpoint(), schedule_request(mine_pump_, id));
+    EXPECT_EQ(parse_json(hit).value().find("cache")->string, "hit");
+    EXPECT_EQ(report_bytes(hit), report_bytes(miss));
+  }
+  EXPECT_FALSE(report_bytes(miss).empty());
+
+  server.shutdown();
+  server.wait();
+  const CacheStats stats = server.stats().cache;
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.alias_hits, 2u);
+}
+
+TEST_F(ServeTest, ReformattedCopyIsASlowPathHitOnTheSameEntry) {
+  ServerOptions options;
+  options.endpoint = endpoint("reformat");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  std::string reformatted = mine_pump_;
+  reformatted.insert(reformatted.find('\n'), "   ");
+  const std::string miss =
+      roundtrip_bytes(server.endpoint(), schedule_request(mine_pump_, "a"));
+  const std::string slow =
+      roundtrip_bytes(server.endpoint(), schedule_request(reformatted, "b"));
+  EXPECT_EQ(parse_json(slow).value().find("cache")->string, "hit");
+  EXPECT_EQ(report_bytes(slow), report_bytes(miss));
+  const CacheStats after_slow = server.stats().cache;
+  EXPECT_EQ(after_slow.hits, 1u);
+  EXPECT_EQ(after_slow.alias_hits, 0u);
+  EXPECT_EQ(after_slow.entries, 1u);
+  // The slow-path hit recorded the new formatting beside the first one.
+  const std::string fast =
+      roundtrip_bytes(server.endpoint(), schedule_request(reformatted, "c"));
+  EXPECT_EQ(report_bytes(fast), report_bytes(miss));
+
+  server.shutdown();
+  server.wait();
+  const CacheStats stats = server.stats().cache;
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.alias_hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST_F(ServeTest, ChangedOptionWordIsNotAnAliasHit) {
+  ServerOptions options;
+  options.endpoint = endpoint("options");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  ASSERT_EQ(roundtrip(server.endpoint(), schedule_request(mine_pump_, "a"))
+                .find("cache")
+                ->string,
+            "miss");
+  // Same spec bytes, one option word changed each: a different result
+  // key, so neither the alias nor the canonical entry may answer.
+  auto with_option = [this](const char* name, auto value) {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.member("op", "schedule");
+    w.member("id", name);
+    w.key("options");
+    w.begin_object();
+    w.member(name, value);
+    w.end_object();
+    w.member("spec", mine_pump_);
+    w.end_object();
+    return w.take();
+  };
+  for (const std::string& payload :
+       {with_option("sync_budget", std::uint64_t{8}),
+        with_option("paper_blocks", true), with_option("complete", true)}) {
+    const JsonValue response = roundtrip(server.endpoint(), payload);
+    EXPECT_EQ(response.find("status")->string, "ok");
+    EXPECT_EQ(response.find("cache")->string, "miss");
+  }
+
+  server.shutdown();
+  server.wait();
+  const CacheStats stats = server.stats().cache;
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.alias_hits, 0u);
+}
+
+TEST_F(ServeTest, InvalidSpecStaysInvalidOnEveryResend) {
+  ServerOptions options;
+  options.endpoint = endpoint("invalid");
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  for (int i = 0; i < 3; ++i) {
+    const JsonValue response = roundtrip(
+        server.endpoint(), schedule_request("<system name='x'/>", "bad"));
+    EXPECT_EQ(response.find("status")->string, "invalid") << i;
+    EXPECT_EQ(response.find("code")->uint_value, 4u) << i;
+  }
+
+  server.shutdown();
+  server.wait();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.invalid, 3u);
+  EXPECT_EQ(stats.cache.misses, 0u);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.alias_hits, 0u);
+}
+
+TEST_F(ServeTest, HugeBudgetsMeanNoDeadline) {
+  // Budgets past the signed 64-bit nanosecond steady clock must saturate
+  // to "no deadline", not wrap into the past and shed the request.
+  ServerOptions options;
+  options.endpoint = endpoint("budget");
+  options.workers = 1;
+  options.cache_entries = 0;  // every request runs the admission path
+  Server server(std::move(options));
+  ASSERT_TRUE(server.start().ok());
+
+  // Prime the EWMA so admission compares a nonzero wait estimate.
+  (void)roundtrip(server.endpoint(), schedule_request(mine_pump_, "prime"));
+  for (const std::uint64_t budget :
+       {std::uint64_t{9223372036854775}, ~std::uint64_t{0}}) {
+    const JsonValue response = roundtrip(
+        server.endpoint(), schedule_request(mine_pump_, "huge", budget));
+    ASSERT_EQ(response.find("status")->string, "ok") << budget;
+    EXPECT_EQ(response.find("verdict")->string, "feasible") << budget;
+    EXPECT_EQ(response.find("cache")->string, "miss") << budget;
+  }
+
+  server.shutdown();
+  server.wait();
+  EXPECT_EQ(server.stats().sheds, 0u);
 }
 
 // ------------------------------------------------- guard deadline plumbing
