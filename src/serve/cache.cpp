@@ -154,8 +154,8 @@ void ScheduleCache::publish(const Digest& digest, std::string report_json,
     it->second.verdict = verdict;
     while (entries_.size() > capacity_) {
       auto victim = entries_.find(lru_.back());
-      for (const Digest& raw : victim->second.aliases) {
-        aliases_.erase(raw);
+      if (victim->second.alias) {
+        aliases_.erase(*victim->second.alias);
       }
       entries_.erase(victim);
       lru_.pop_back();
@@ -213,17 +213,16 @@ void ScheduleCache::record_alias(const Digest& raw, const Digest& canonical) {
   if (it == entries_.end()) {
     return;  // abandoned, evicted, or storage disabled
   }
-  // raw -> canonical is a function, so a known raw key already names this
-  // entry.
+  // raw -> canonical is a function, so a known raw key already is this
+  // entry's alias.
   if (!aliases_.try_emplace(raw, canonical).second) {
     return;
   }
-  std::vector<Digest>& own = it->second.aliases;
-  if (own.size() == kMaxAliasesPerEntry) {
-    aliases_.erase(own.front());
-    own.erase(own.begin());
+  std::optional<Digest>& own = it->second.alias;
+  if (own) {
+    aliases_.erase(*own);
   }
-  own.push_back(raw);
+  own = raw;
 }
 
 std::size_t ScheduleCache::alias_count() const {

@@ -25,10 +25,10 @@
 // re-serialization, most of a hit's work. Beside the canonical entries
 // sits a bounded alias index from a *raw key* (the digest of the request's
 // spec bytes as sent, same option words) to the canonical digest of a
-// resident entry, so a byte-identical resend skips the parse. Aliases live
-// in their entry — at most kMaxAliasesPerEntry each, dropped when LRU
-// evicts it — so the index never holds more than capacity ×
-// kMaxAliasesPerEntry keys and never points at a missing entry.
+// resident entry, so a byte-identical resend skips the parse. Each entry
+// holds at most one alias, dropped when LRU evicts it, so the index never
+// holds more keys than the cache holds entries and never points at a
+// missing entry.
 #pragma once
 
 #include <chrono>
@@ -41,7 +41,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace ezrt::serve {
 
@@ -123,19 +122,13 @@ class ScheduleCache {
   /// the new owner), so a transient failure never wedges a digest.
   void abandon(const Digest& digest);
 
-  /// Raw keys one entry keeps. Clients resend the bytes they sent before;
-  /// a few distinct formattings of one spec (say, LF and CRLF, compact
-  /// and pretty) is the realistic most, and the cap bounds the index
-  /// against a client that sends endlessly many.
-  static constexpr std::size_t kMaxAliasesPerEntry = 4;
-
   /// The kHit ticket of the resident entry `raw` is an alias of, or
   /// nothing. Never waits and never claims ownership.
   [[nodiscard]] std::optional<Ticket> acquire_alias(const Digest& raw);
 
   /// Records that `raw` canonicalizes to `canonical`. A no-op unless
   /// `canonical` is resident, so only published (definitive) results are
-  /// ever aliased; past the per-entry cap the entry's oldest alias goes.
+  /// ever aliased; a new raw key replaces the entry's previous alias.
   void record_alias(const Digest& raw, const Digest& canonical);
 
   /// Current alias index size (tests assert its bound).
@@ -149,7 +142,7 @@ class ScheduleCache {
     int exit_code = 0;
     std::string verdict;
     std::list<Digest>::iterator lru_pos;
-    std::vector<Digest> aliases;  ///< raw keys resolving here, oldest first
+    std::optional<Digest> alias;  ///< the raw key resolving here, if any
   };
 
   struct InFlight {
@@ -169,7 +162,7 @@ class ScheduleCache {
   std::unordered_map<Digest, Entry, DigestHash> entries_;
   std::list<Digest> lru_;  ///< front = most recent
   std::unordered_map<Digest, InFlight, DigestHash> in_flight_;
-  /// raw key -> canonical digest; every value is a key of entries_.
+  /// raw key -> canonical digest; the inverse of the entries' aliases.
   std::unordered_map<Digest, Digest, DigestHash> aliases_;
   CacheStats stats_;
 };

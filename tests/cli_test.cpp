@@ -441,13 +441,20 @@ TEST_F(CliTest, ScheduleRejectsBadLimitFlags) {
 
 TEST_F(CliTest, HugeWallLimitMeansNoCeiling) {
   // 9223372036854775 ms is past the signed 64-bit nanosecond steady clock:
-  // the deadline saturates instead of wrapping into the past, so both the
-  // search and the explanation run to their feasible verdict.
+  // the deadline saturates instead of wrapping into the past, so the
+  // search and the explanation run to their feasible verdict and the
+  // reachability analysis runs to its state budget.
   const std::string huge = "9223372036854775";
   EXPECT_EQ(run_cli({"schedule", spec_path_, "--wall-limit", huge}), 0);
   EXPECT_NE(out_.str().find("feasible schedule"), std::string::npos);
   EXPECT_EQ(run_cli({"explain", spec_path_, "--wall-limit", huge}), 0);
   EXPECT_NE(out_.str().find("verdict: feasible"), std::string::npos);
+  EXPECT_EQ(run_cli({"reach", spec_path_, "--wall-limit", huge,
+                     "--max-states", "2000"}),
+            0);
+  EXPECT_NE(out_.str().find("reachability (state-budget)"),
+            std::string::npos);
+  EXPECT_NE(out_.str().find("states explored:  2000"), std::string::npos);
 }
 
 TEST_F(CliTest, RobustRunsCampaignAndWritesReport) {
